@@ -28,7 +28,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -695,22 +694,16 @@ CHECKS = {
 def run_suite(config: SuiteConfig):
     """Run the selected checks; returns (exit status, report document).
 
-    Checks run on a thread pool; the report lists them sorted by name, so
-    the document does not depend on completion order.  Timings are
-    printed, never recorded, keeping same-seed reports byte-identical.
+    Checks run one after another, so each printed time is that check's
+    own.  The report lists them sorted by name.  Timings are printed,
+    never recorded, keeping same-seed reports byte-identical.
     """
     enabled = tuple(CHECKS) if config.checks is None else config.checks
     results: dict[str, tuple[bool, str, float]] = {}
-
-    def timed(name):
+    for name in enabled:
         t0 = perf_counter()
         ok, detail = CHECKS[name](config)
-        return name, ok, detail, perf_counter() - t0
-
-    if enabled:
-        with ThreadPoolExecutor() as pool:
-            for name, ok, detail, secs in pool.map(timed, enabled):
-                results[name] = (ok, detail, secs)
+        results[name] = (ok, detail, perf_counter() - t0)
     checks = [{"check": name, "ok": results[name][0],
                "detail": results[name][1]} for name in sorted(results)]
     ok = all(c["ok"] for c in checks)

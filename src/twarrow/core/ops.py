@@ -208,11 +208,13 @@ class _UnionFind:
         self.parent: dict[Member, Member] = {}
 
     def find(self, x: Member) -> Member:
-        p = self.parent.get(x, x)
-        if p == x:
-            return x
-        root = self.find(p)
-        self.parent[x] = root
+        parent = self.parent
+        root = x
+        while (up := parent.get(root, root)) != root:
+            root = up
+        # path compression: point every member on the way at the root
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: Member, b: Member) -> bool:

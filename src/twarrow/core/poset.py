@@ -8,33 +8,57 @@ from .complex import SimplicialSet
 from .simplex import nondeg
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Poset:
     """A finite poset given by elements and a generating relation.
 
     The constructor takes generating pairs (a, b) meaning a <= b and
-    stores the reflexive transitive closure, rejecting cycles.
+    stores the reflexive transitive closure ``le``, rejecting cycles.
+    It also keeps ``index``, each element's position in ``elements``,
+    ``down_sizes``, the number of elements strictly below each element,
+    and the strict up-set of each element as a bit mask over positions.
     """
 
+    __slots__ = ("elements", "le", "index", "down_sizes", "_up")
+
     def __init__(self, elements, pairs=()):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self.elements = els = tuple(elements)
+        self.index = index = {e: i for i, e in enumerate(els)}
+        if len(index) != len(els):
             raise ValueError("duplicate elements")
-        le = {(a, a) for a in self.elements}
-        le.update((a, b) for a, b in pairs)
-        for a, b in le:
-            if a not in self.elements or b not in self.elements:
+        n = len(els)
+        up = [0] * n
+        for a, b in pairs:
+            if a not in index or b not in index:
                 raise ValueError(f"relation pair {(a, b)} off the element set")
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(le), repeat=2):
-                if b == c and (a, d) not in le:
-                    le.add((a, d))
-                    changed = True
-        for a, b in le:
-            if a != b and (b, a) in le:
-                raise ValueError(f"cycle through {a} and {b}")
-        self.le = frozenset(le)
+            i, j = index[a], index[b]
+            if i != j:
+                up[i] |= 1 << j
+        # Warshall: after step k, paths through 0..k are closed
+        for k in range(n):
+            bit, row = 1 << k, up[k]
+            for i in range(n):
+                if up[i] & bit:
+                    up[i] |= row
+        for i, row in enumerate(up):
+            if row >> i & 1:
+                j = next(j for j in _bits(row) if j != i and up[j] >> i & 1)
+                raise ValueError(f"cycle through {els[i]} and {els[j]}")
+        self._up = tuple(up)
+        self.le = frozenset(itertools.chain(
+            ((a, a) for a in els),
+            ((a, els[j]) for a, row in zip(els, up) for j in _bits(row))))
+        self.down_sizes = tuple(sum(row >> j & 1 for row in up)
+                                for j in range(n))
 
     def leq(self, a, b) -> bool:
         return (a, b) in self.le
@@ -52,39 +76,48 @@ class Poset:
         return Poset(elems, pairs)
 
     def subposet(self, subset) -> "Poset":
-        subset = [e for e in self.elements if e in set(subset)]
-        return Poset(subset, [(a, b) for a, b in self.le
-                              if a in subset and b in subset])
+        keep = set(subset)
+        return Poset([e for e in self.elements if e in keep],
+                     [(a, b) for a, b in self.le if a in keep and b in keep])
 
-    def chains(self, length: int):
-        """All strictly increasing chains with ``length`` elements."""
+    def _chain_levels(self, length: int) -> list[list[tuple]]:
+        """Strict chains of 1..``length`` elements as position tuples, one
+        list per length, each in lexicographic order; stops after the
+        first empty list.  Extending each chain of a level by the
+        successors of its top, in ascending position, keeps that order."""
+        succ = [_bits(row) for row in self._up]
+        levels = [[(i,) for i in range(len(succ))]] if length > 0 else []
+        while levels and levels[-1] and len(levels) < length:
+            levels.append([c + (j,) for c in levels[-1] for j in succ[c[-1]]])
+        return levels
+
+    def chains(self, length: int) -> list[tuple]:
+        """All strictly increasing chains with ``length`` elements, in
+        lexicographic order of element positions."""
         if length == 0:
-            yield ()
-            return
-        def extend(chain):
-            if len(chain) == length:
-                yield chain
-                return
-            for e in self.elements:
-                if self.lt(chain[-1], e):
-                    yield from extend(chain + (e,))
-        for e in self.elements:
-            yield from extend((e,))
+            return [()]
+        levels = self._chain_levels(length)
+        if len(levels) < length:
+            return []
+        els = self.elements
+        return [tuple(els[i] for i in c) for c in levels[-1]]
 
     def height(self) -> int:
         """Number of elements in a longest chain."""
-        h = 0
-        while any(True for _ in self.chains(h + 1)):
-            h += 1
-        return h
+        up = self._up
+        longest = [0] * len(up)
+        # an element's up-set strictly contains the up-set of each member
+        for i in sorted(range(len(up)), key=lambda i: up[i].bit_count()):
+            longest[i] = 1 + max((longest[j] for j in _bits(up[i])),
+                                 default=0)
+        return max(longest, default=0)
 
     def minima(self):
-        return [a for a in self.elements
-                if not any(self.lt(b, a) for b in self.elements)]
+        return [a for a, below in zip(self.elements, self.down_sizes)
+                if not below]
 
     def maxima(self):
-        return [a for a in self.elements
-                if not any(self.lt(a, b) for b in self.elements)]
+        return [a for a, row in zip(self.elements, self._up) if not row]
 
     def __repr__(self):
         rel = sorted((a, b) for a, b in self.le if a != b)
@@ -96,20 +129,23 @@ def total_order(n: int) -> Poset:
 
 
 def nerve(P: Poset, top_dim: int | None = None) -> SimplicialSet:
-    """Nerve of a poset, cells labelled by their chains."""
+    """Nerve of a poset, cells labelled by their chains.
+
+    The cells of each dimension are numbered in lexicographic order of
+    the positions of their chains' elements."""
     cap = P.height() - 1
     if top_dim is not None:
         cap = min(cap, top_dim)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, int] = {}
-    for d in range(cap + 1):
-        cs = sorted(P.chains(d + 1), key=lambda c: tuple(P.elements.index(e) for e in c))
-        if not cs:
+    els = P.elements
+    for d, level in enumerate(P._chain_levels(cap + 1)):
+        if not level:
             break
-        counts[d] = len(cs)
-        for i, chain in enumerate(cs):
+        counts[d] = len(level)
+        for i, chain in enumerate(level):
             index[chain] = i
-            labels[(d, i)] = chain
+            labels[(d, i)] = tuple(els[k] for k in chain)
             if d >= 1:
                 faces[(d, i)] = tuple(
                     nondeg(d - 1, index[chain[:k] + chain[k + 1:]])
@@ -117,38 +153,64 @@ def nerve(P: Poset, top_dim: int | None = None) -> SimplicialSet:
     return SimplicialSet(counts, faces, labels)
 
 
+def _arcs(n: int) -> list[tuple[int, int]]:
+    """The pairs a != b on 0..n-1 in lexicographic order: the bits of an
+    arc mask, the first one the most significant."""
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def _relabel_weights(n: int):
+    """For each relabelling p of 0..n-1, the mask bit of each arc (a, b)
+    once relabelled to (p[a], p[b]), in a flat list at a * n + b."""
+    arcs = _arcs(n)
+    bit = {arc: 1 << (len(arcs) - 1 - k) for k, arc in enumerate(arcs)}
+    for p in itertools.permutations(range(n)):
+        row = [0] * (n * n)
+        for a, b in arcs:
+            row[a * n + b] = bit[p[a], p[b]]
+        yield row
+
+
+def _canonical_mask(n: int, arcs, tables) -> int:
+    """Smallest arc mask of the strict relation ``arcs`` on 0..n-1 over
+    all relabellings: equal exactly for isomorphic relations."""
+    flat = [a * n + b for a, b in arcs]
+    return min(sum(map(row.__getitem__, flat)) for row in tables)
+
+
+def _mask_arcs(n: int, mask: int) -> list[tuple[int, int]]:
+    arcs = _arcs(n)
+    return [arc for k, arc in enumerate(arcs)
+            if mask >> (len(arcs) - 1 - k) & 1]
+
+
 def poset_key(P: Poset):
-    """Isomorphism invariant canonical form."""
+    """Isomorphism invariant canonical form: the size and the smallest
+    arc mask of the strict relation over all relabellings."""
     n = len(P.elements)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        rel = frozenset((perm[P.elements.index(a)], perm[P.elements.index(b)])
-                        for a, b in P.le if a != b)
-        key = tuple(sorted(rel))
-        if best is None or key < best:
-            best = key
-    return n, best
+    arcs = [(i, j) for i, row in enumerate(P._up) for j in _bits(row)]
+    return n, _canonical_mask(n, arcs, _relabel_weights(n))
 
 
 def all_posets(n: int):
-    """All posets on n elements, one per isomorphism class."""
-    if n == 0:
-        return [Poset([])]
-    elems = list(range(n))
-    arcs = [(a, b) for a in elems for b in elems if a != b]
-    seen = set()
-    out = []
-    for chosen in itertools.product([False, True], repeat=len(arcs)):
-        rel = {arc for arc, c in zip(arcs, chosen) if c}
-        # want: rel already transitive and acyclic, so each poset appears once
-        if any((a, b) in rel and (b, a) in rel for a, b in rel):
-            continue
-        if any((a, d) not in rel
-               for a, b in rel for c, d in rel if b == c and a != d):
-            continue
-        P = Poset(elems, rel)
-        key = poset_key(P)
-        if key not in seen:
-            seen.add(key)
-            out.append(P)
-    return out
+    """All posets on n elements, one per isomorphism class.
+
+    Each class is represented on 0..n-1 by the relation with the smallest
+    arc mask over its relabellings, and the classes are sorted by that
+    mask.  The classes on k + 1 points come from those on k points: a
+    new maximal element k is put above each down-set of a representative.
+    Every poset arises that way, by deleting one of its maximal elements
+    (McKay's one-point extension; duplicates are merged by the mask)."""
+    masks = [0]
+    for k in range(1, n):
+        tables = list(_relabel_weights(k + 1))
+        found = set()
+        for mask in masks:
+            rel = _mask_arcs(k, mask)
+            for down in range(1 << k):
+                if any(down >> b & 1 and not down >> a & 1 for a, b in rel):
+                    continue
+                ext = rel + [(a, k) for a in _bits(down)]
+                found.add(_canonical_mask(k + 1, ext, tables))
+        masks = sorted(found)
+    return [Poset(range(n), _mask_arcs(n, mask)) for mask in masks]

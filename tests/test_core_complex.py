@@ -77,7 +77,8 @@ def test_poset_product_and_opposite():
 
 
 def test_all_posets_counts():
-    assert [len(all_posets(n)) for n in range(5)] == [1, 1, 2, 5, 16]
+    # OEIS A000112
+    assert [len(all_posets(n)) for n in range(7)] == [1, 1, 2, 5, 16, 63, 318]
 
 
 def test_boundary_and_horn_cells():

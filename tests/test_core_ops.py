@@ -7,6 +7,7 @@ from twarrow.core import (Poset, complex_from_json, complex_to_json,
                           find_isomorphism, glue, nerve, nondeg, opposite,
                           point, product, join, quotient_by_key, simplex_cell,
                           standard_simplex, total_order)
+from twarrow.core.ops import _UnionFind
 from twarrow.core.simplex import Simplex, degenerate
 
 
@@ -155,3 +156,14 @@ def test_dot_skeleton_output():
     assert text.startswith("digraph")
     assert text.count("->") == 3
     assert "penwidth" in text
+
+
+def test_union_find_survives_a_deep_chain():
+    # unions in descending order link each root below the previous one,
+    # building a 3000-deep chain with nothing compressed yet
+    uf = _UnionFind()
+    for k in range(2999, 0, -1):
+        assert uf.union((0, k), (0, k - 1))
+    assert uf.find((0, 2999)) == (0, 0)
+    assert all(uf.parent[(0, k)] == (0, 0) for k in range(1, 3000))
+    assert not uf.union((0, 1500), (0, 2999))
