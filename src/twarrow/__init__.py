@@ -11,7 +11,7 @@ Subpackages and modules:
 - ``necklace``: independent mapping-space enumeration through necklaces
 - ``anodyne``: extension certificates and the dull-family engine
 - ``certificates``: the built-in filling certificate generators
-- ``fibration``: brute-force lifting and fibration checks
+- ``fibration``: lifting problems and fibration checks
 - ``cli``: the ``twarrow`` command line tool
 """
 

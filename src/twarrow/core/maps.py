@@ -1,6 +1,10 @@
-"""Maps of simplicial sets, hom enumeration, isomorphism search."""
+"""Maps of simplicial sets, and the one backtracking search behind hom
+enumeration, isomorphism search and lifting."""
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 from .complex import Cell, SimplicialSet
 from .simplex import Simplex, degenerate_word, nondeg
@@ -108,69 +112,128 @@ def map_by_vertices(X: SimplicialSet, Y: SimplicialSet, vertex_fn) -> Simplicial
 
 
 def enumerate_homs(A: SimplicialSet, X: SimplicialSet, limit: int | None = None):
-    """All simplicial maps A -> X by backtracking over cells."""
-    cells = sorted(A.all_cells())
-    pools = {d: list(X.simplices(d)) for d in A.counts}
-    out = []
-
-    def fits(partial, c, cand):
-        for i, f in enumerate(A.faces[c]):
-            want = degenerate_word(partial[f.base], f.word)
-            if X.face(cand, i) != want:
-                return False
-        return True
-
-    def rec(k, partial):
-        if limit is not None and len(out) >= limit:
-            return
-        if k == len(cells):
-            out.append(SimplicialMap(A, X, dict(partial), check=False))
-            return
-        c = cells[k]
-        for cand in pools[c[0]]:
-            if c[0] == 0 or fits(partial, c, cand):
-                partial[c] = cand
-                rec(k + 1, partial)
-                del partial[c]
-
-    rec(0, {})
-    return out
+    """All simplicial maps A -> X, at most ``limit`` of them, in the
+    order of the search over A's cells and X's simplices."""
+    index = {d: face_index(X, d) for d in A.counts}
+    homs = (SimplicialMap(A, X, dict(assign), check=False)
+            for assign in search(A, index))
+    return list(itertools.islice(homs, limit))
 
 
 def find_isomorphism(X: SimplicialSet, Y: SimplicialSet) -> SimplicialMap | None:
-    """Search for an isomorphism, dimension by dimension."""
+    """First isomorphism X -> Y found by the search, or None."""
     if X.counts != Y.counts:
         return None
-    cells = sorted(X.all_cells())
-
-    def rec(k, assign, used):
-        if k == len(cells):
-            return dict(assign)
-        c = cells[k]
-        d = c[0]
-        for j in range(Y.n_cells(d)):
-            t = (d, j)
-            if t in used:
-                continue
-            if d >= 1:
-                ok = True
-                for i, f in enumerate(X.faces[c]):
-                    want = degenerate_word(assign[f.base], f.word)
-                    if Y.face(nondeg(d, j), i) != want:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            assign[c] = nondeg(d, j)
-            used.add(t)
-            res = rec(k + 1, assign, used)
-            if res is not None:
-                return res
-            del assign[c]
-            used.remove(t)
-        return None
-
-    data = rec(0, {}, set())
+    index: dict[int, dict] = {}
+    for d, n in Y.counts.items():
+        by_faces = index[d] = {}
+        for j in range(n):
+            by_faces.setdefault(Y.faces[(d, j)] if d else (), []).append(
+                nondeg(d, j))
+    data = next(search(X, index, injective=True), None)
     if data is None:
         return None
-    return SimplicialMap(X, Y, data, check=False)
+    return SimplicialMap(X, Y, dict(data), check=False)
+
+
+@functools.lru_cache(maxsize=8)
+def face_index(X: SimplicialSet, d: int) -> dict[tuple, list[Simplex]]:
+    """X's d-simplices, degenerate ones included, keyed by the tuple of
+    their faces (the empty tuple for vertices).  Each list keeps the
+    order of ``X.simplices(d)``.  The last few tables are kept and
+    shared between callers, who must not change them."""
+    out: dict[tuple, list[Simplex]] = {}
+    for s in X.simplices(d):
+        key = tuple(X.face(s, i) for i in range(d + 1)) if d else ()
+        out.setdefault(key, []).append(s)
+    return out
+
+
+def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
+           injective: bool = False, memo: bool = False):
+    """Backtracking search for the maps out of A.
+
+    A's cells are visited in ``sorted`` order, dimension then index, so
+    the faces of a cell are assigned before the cell itself.  The
+    candidates for a cell are ``index[d][key]``, where ``key`` is the
+    tuple of the images its faces force, so every candidate commutes
+    with the faces; they are tried in list order.  A candidate must
+    also pass ``allowed(cell, simplex)`` when that is given, and, with
+    ``injective``, must not be the image of another cell.
+
+    Yields each complete assignment, cell to simplex, as one live dict
+    that the search goes on changing: copy it to keep it.
+
+    With ``memo``, a level that yields nothing is remembered by its
+    position and the images of the earlier cells that later faces still
+    read, and such a subtree is not searched again.  The key ignores
+    ``injective``, so the two do not go together.
+
+    The search runs on an explicit stack, so deep complexes do not hit
+    the recursion limit.
+    """
+    cells = sorted(A.all_cells())
+    n = len(cells)
+    frontier = _frontiers(A, cells) if memo else None
+    assign: dict = {}
+    used: set = set()
+    dead: set = set()
+    found = 0
+    # one frame per open level: candidates left, memo key, hits at entry
+    frames: list = []
+    k = 0
+    while True:
+        if k == n:
+            found += 1
+            yield assign
+        else:
+            key = None
+            if memo:
+                key = (k, tuple(assign[c] for c in frontier[k]))
+            if key is None or key not in dead:
+                c = cells[k]
+                want = tuple(degenerate_word(assign[f.base], f.word)
+                             for f in A.faces.get(c, ()))
+                cands = index[c[0]].get(want, ())
+                if allowed is not None:
+                    cands = [s for s in cands if allowed(c, s)]
+                frames.append((iter(cands), key, found))
+        # move the deepest open level on to its next candidate
+        while frames:
+            k = len(frames) - 1
+            c = cells[k]
+            if injective and c in assign:
+                used.discard(assign[c])
+            cands, key, before = frames[-1]
+            for s in cands:
+                if not (injective and s in used):
+                    break
+            else:
+                frames.pop()
+                assign.pop(c, None)
+                if memo and found == before:
+                    dead.add(key)
+                continue
+            assign[c] = s
+            if injective:
+                used.add(s)
+            k += 1
+            break
+        else:
+            return
+
+
+def _frontiers(A: SimplicialSet, cells) -> list[tuple]:
+    """For each position k, the cells before k that faces of the cells
+    from k on use, in order."""
+    last: dict = {}
+    for k, c in enumerate(cells):
+        for f in A.faces.get(c, ()):
+            last[f.base] = k
+    out, live = [], []
+    for k, c in enumerate(cells):
+        live = [e for e in live if last[e] >= k]
+        out.append(tuple(live))
+        if last.get(c, -1) > k:
+            live.append(c)
+    return out

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core.complex import Cell, SimplicialSet
-from .core.maps import SimplicialMap, enumerate_homs, find_isomorphism
+from .core.complex import SimplicialSet
+from .core.maps import SimplicialMap
 from .core.ops import GlueResult, op_simplex
 from .core.simplex import Simplex, nondeg
 
@@ -75,74 +75,6 @@ def preserves_decoration(f: SimplicialMap, src: Decorated, tgt: Decorated) -> bo
         if not tgt.is_marked(f(nondeg(*c))):
             return False
     return True
-
-
-def decorated_homs(src: Decorated, tgt: Decorated, limit: int | None = None):
-    out = []
-    for f in enumerate_homs(src.space, tgt.space):
-        if preserves_decoration(f, src, tgt):
-            out.append(f)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
-
-
-def decorated_isomorphic(A: Decorated, B: Decorated) -> bool:
-    iso = find_isomorphism(A.space, B.space)
-    if iso is None:
-        return False
-    if preserves_decoration(iso, A, B) and preserves_decoration(iso.inverse(), B, A):
-        return True
-    # fall back to a search that honors the decoration on the fly
-    return _decorated_iso_search(A, B) is not None
-
-
-def _decorated_iso_search(A: Decorated, B: Decorated):
-    from .core.simplex import degenerate_word
-
-    X, Y = A.space, B.space
-    if X.counts != Y.counts or len(A.thin) != len(B.thin) or \
-            len(A.marked) != len(B.marked):
-        return None
-    cells = sorted(X.all_cells())
-
-    def ok_pair(c, t):
-        if c[0] == 2 and (c in A.thin) != (t in B.thin):
-            return False
-        if c[0] == 1 and (c in A.marked) != (t in B.marked):
-            return False
-        return True
-
-    def rec(k, assign, used):
-        if k == len(cells):
-            return dict(assign)
-        c = cells[k]
-        d = c[0]
-        for j in range(Y.n_cells(d)):
-            t = (d, j)
-            if t in used or not ok_pair(c, t):
-                continue
-            if d >= 1:
-                good = True
-                for i, f in enumerate(X.faces[c]):
-                    if Y.face(nondeg(d, j), i) != degenerate_word(assign[f.base], f.word):
-                        good = False
-                        break
-                if not good:
-                    continue
-            assign[c] = nondeg(d, j)
-            used.add(t)
-            res = rec(k + 1, assign, used)
-            if res is not None:
-                return res
-            del assign[c]
-            used.remove(t)
-        return None
-
-    data = rec(0, {}, set())
-    if data is None:
-        return None
-    return SimplicialMap(X, Y, data, check=False)
 
 
 def pull_decoration(incl: SimplicialMap, tgt: Decorated) -> Decorated:

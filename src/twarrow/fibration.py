@@ -1,11 +1,13 @@
-"""Brute-force lifting problems and dimension-bounded fibration checks.
+"""Lifting problems and dimension-bounded fibration checks.
 
 The primitive is a commuting square against a finite inclusion A -> B;
-``solve_lift`` backtracks over the images of B's nondegenerate cells and
-is complete, so a None answer really means there is no lift.  On top of
-it sit the per-dimension right-lifting tests: inner horns for inner
-fibrations, right horns with a pinned final edge for Cartesian edges,
-boundaries for trivial fibrations.  Every verdict is bounded by the
+``solve_lift`` backtracks over the images of B's nondegenerate cells,
+drawing each cell's candidates from an index of X's simplices keyed by
+their faces (the search of :mod:`twarrow.core.maps`), and is complete,
+so a None answer really means there is no lift.  On top of it sit the
+per-dimension right-lifting tests: inner horns for inner fibrations,
+right horns with a pinned final edge for Cartesian edges, boundaries
+for trivial fibrations.  Every verdict is bounded by the
 max_dim it was asked for and says so in its report.
 
 Markedness enters in two places.  A Cartesian-edge test only quantifies
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from . import DIM_CAP
 from .core.complex import (SimplicialSet, boundary_cells, horn_cells,
                            simplex_cell, standard_simplex, subcomplex)
-from .core.maps import SimplicialMap, enumerate_homs
-from .core.simplex import Simplex, degenerate_word, nondeg
+from .core.maps import SimplicialMap, enumerate_homs, face_index, search
+from .core.simplex import Simplex, nondeg
 from .decor import Decorated
 
 
@@ -77,61 +79,28 @@ class LiftingProblem:
 def iter_lifts(prob: LiftingProblem):
     """All lifts of the square, by backtracking in cell order.
 
-    Cells of B are filled in by dimension then index; a candidate for a
-    cell is any simplex of X over the cell's bottom image whose faces
-    match the images already chosen (and which is marked, where the
-    problem demands it).  Exhausted subtrees are remembered by the part
-    of the assignment later cells can still see, so the search does not
-    redo them.
+    Cells of B are filled in by dimension then index; the candidates
+    for a cell are the simplices of X whose faces are the images already
+    chosen (looked up in X's face index), that lie over the cell's
+    bottom image, that equal the top map's image where it has one, and
+    that are marked where the problem demands it.  Exhausted subtrees
+    are remembered by the part of the assignment later cells can still
+    see, so the search does not redo them.
     """
     B, X = prob.incl.target, prob.p.source
     forced = prob.forced()
-    cells = sorted(B.all_cells())
-    pools = {d: list(X.simplices(d)) for d in {c[0] for c in cells}}
+    bottom = prob.bottom.data
 
-    def candidates(c, assign):
-        opts = [forced[c]] if c in forced else pools[c[0]]
-        want = prob.bottom.data[c]
-        need_mark = c in prob.marked_cells
-        for s in opts:
-            if prob.p(s) != want:
-                continue
-            if need_mark and not prob.dec.is_marked(s):
-                continue
-            if c[0] >= 1 and any(
-                    X.face(s, k) != degenerate_word(assign[f.base], f.word)
-                    for k, f in enumerate(B.faces[c])):
-                continue
-            yield s
+    def allowed(c, s):
+        if c in forced and s != forced[c]:
+            return False
+        if prob.p(s) != bottom[c]:
+            return False
+        return c not in prob.marked_cells or prob.dec.is_marked(s)
 
-    # frontier of position k: earlier cells that faces of later cells use
-    frontier = []
-    for k in range(len(cells)):
-        seen = set(cells[:k])
-        used = {f.base for c in cells[k:] if c[0] >= 1 for f in B.faces[c]}
-        frontier.append(tuple(sorted(used & seen)))
-
-    dead: set = set()
-
-    def rec(k, assign):
-        if k == len(cells):
-            yield SimplicialMap(B, X, dict(assign), check=False)
-            return
-        key = (k, tuple(assign[c] for c in frontier[k]))
-        if key in dead:
-            return
-        c = cells[k]
-        hit = False
-        for s in candidates(c, assign):
-            assign[c] = s
-            for lift in rec(k + 1, assign):
-                hit = True
-                yield lift
-            del assign[c]
-        if not hit:
-            dead.add(key)
-
-    yield from rec(0, {})
+    index = {d: face_index(X, d) for d in B.counts}
+    for assign in search(B, index, allowed, memo=True):
+        yield SimplicialMap(B, X, dict(assign), check=False)
 
 
 def solve_lift(prob: LiftingProblem) -> SimplicialMap | None:
@@ -195,18 +164,31 @@ def _bottom_map(D: SimplicialSet, Y: SimplicialSet, s: Simplex) -> SimplicialMap
     return SimplicialMap(D, Y, data, check=False)
 
 
-def _squares(p: SimplicialMap, incl: SimplicialMap, tops):
-    """One lifting problem per commuting square with the given tops."""
+def _squares(p: SimplicialMap, incl: SimplicialMap):
+    """The commuting squares over ``incl``: a function sending a list
+    of tops to one lifting problem per square with one of those tops.
+
+    A bottom is a top-dimensional simplex of Y whose faces at the
+    facets A contains are the images of the top there; the index of
+    those is built once here from Y's face index, and each key lists
+    its simplices in the order of ``Y.simplices``.
+    """
     D, Y = incl.target, p.target
     n = D.top_dim
     fc = _facet_cells(incl)
     index: dict = {}
-    for s in Y.simplices(n):
-        index.setdefault(tuple(Y.face(s, k) for k, _ in fc), []).append(s)
-    for top in tops:
-        key = tuple(p(top.data[a]) for _, a in fc)
-        for s in index.get(key, []):
-            yield LiftingProblem(incl, p, top, _bottom_map(D, Y, s))
+    for faces, simps in face_index(Y, n).items():
+        index.setdefault(tuple(faces[k] for k, _ in fc), []).extend(simps)
+    for simps in index.values():
+        # base cell, then the collapse set in lexicographic order
+        simps.sort(key=lambda s: (s.base, s.word[::-1]))
+
+    def squares(tops):
+        for top in tops:
+            key = tuple(p(top.data[a]) for _, a in fc)
+            for s in index.get(key, []):
+                yield LiftingProblem(incl, p, top, _bottom_map(D, Y, s))
+    return squares
 
 
 def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
@@ -216,7 +198,7 @@ def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     for n in range(2, max_dim + 1):
         for i in range(1, n):
             incl = horn_inclusion(n, i)
-            for prob in _squares(p, incl, enumerate_homs(incl.source, p.source)):
+            for prob in _squares(p, incl)(enumerate_homs(incl.source, p.source)):
                 squares += 1
                 if solve_lift(prob) is None:
                     return FibrationReport(
@@ -251,7 +233,7 @@ def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
         last = _last_edge_cell(incl)
         tops = [f for f in enumerate_homs(incl.source, p.source)
                 if f.data[last] == e]
-        for prob in _squares(p, incl, tops):
+        for prob in _squares(p, incl)(tops):
             squares += 1
             if solve_lift(prob) is None:
                 return FibrationReport(
@@ -315,9 +297,10 @@ def cartesian_fibration(p: SimplicialMap, dec: Decorated,
         by_edge: dict = {}
         for f in enumerate_homs(incl.source, p.source):
             by_edge.setdefault(f.data[last], []).append(f)
+        squares_of = _squares(p, incl)
         for c in sorted(dec.marked):
             e = nondeg(*c)
-            for prob in _squares(p, incl, by_edge.get(e, [])):
+            for prob in squares_of(by_edge.get(e, [])):
                 squares += 1
                 if solve_lift(prob) is None:
                     return FibrationReport(
@@ -339,7 +322,7 @@ def trivial_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     squares = 0
     for n in range(max_dim + 1):
         incl = boundary_inclusion(n)
-        for prob in _squares(p, incl, enumerate_homs(incl.source, p.source)):
+        for prob in _squares(p, incl)(enumerate_homs(incl.source, p.source)):
             squares += 1
             if solve_lift(prob) is None:
                 return FibrationReport(

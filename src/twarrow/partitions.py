@@ -116,16 +116,16 @@ def square_partition(n: int) -> DecoratedPartition:
 # -- totally ordered subsets -------------------------------------------
 
 
-def _ranks(P: Poset) -> dict:
-    """Each element's count of elements strictly below it, then its
-    position: increasing along every chain."""
-    return {e: (P.down_sizes[i], i) for e, i in P.index.items()}
+def _rank(P: Poset, e) -> tuple[int, int]:
+    """The count of elements strictly below e, then its position:
+    increasing along every chain."""
+    i = P.index[e]
+    return P.down_sizes[i], i
 
 
 def sorted_chain(P: Poset, S) -> tuple:
     """A totally ordered subset listed in increasing order."""
-    ranks = _ranks(P)
-    out = tuple(sorted(S, key=ranks.__getitem__))
+    out = tuple(sorted(S, key=lambda e: _rank(P, e)))
     for u, v in zip(out, out[1:]):
         if not P.lt(u, v):
             raise ValueError(f"{sorted(map(repr, S))} is not totally ordered")
@@ -155,12 +155,11 @@ def chain_poset(part: OrderedPartition) -> Poset:
         P = part.poset
         if len(P.elements) > 16:
             raise ValueError("chain poset enumeration needs a small poset")
-        ranks = _ranks(P)
         els = [frozenset(c)
                for r in range(1, len(P.elements) + 1)
                for c in itertools.combinations(P.elements, r)
                if is_chain_element(part, c)]
-        els.sort(key=lambda S: (len(S), tuple(sorted(ranks[e] for e in S))))
+        els.sort(key=lambda S: (len(S), tuple(sorted(_rank(P, e) for e in S))))
         pairs = [(S, T) for S in els for T in els if S <= T]
         _chain_poset_cache[key] = Poset(els, pairs)
     return _chain_poset_cache[key]
