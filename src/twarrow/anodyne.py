@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core.complex import Cell, SimplicialSet, close_cells, is_closed, subcomplex
-from .core.maps import SimplicialMap, simplex_by_chain
+from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.simplex import Simplex, nondeg
 from .decor import Decorated, pull_decoration
 
@@ -166,13 +166,7 @@ def certificate_from_json(doc) -> Certificate:
 def _face_vertices(space: SimplicialSet, vertices):
     if vertices is not None:
         return tuple(vertices)
-    labs = []
-    for c in space.cells(0):
-        lab = space.labels.get(c)
-        if isinstance(lab, tuple) and len(lab) == 1:
-            lab = lab[0]
-        labs.append(lab)
-    return tuple(labs)
+    return tuple(unwrap_label(space.labels.get(c)) for c in space.cells(0))
 
 
 def _chain_cell(space: SimplicialSet, vertices, positions) -> Simplex:

@@ -20,8 +20,6 @@ rechecked with the independent verifier by the caller or the tests.
 from __future__ import annotations
 
 from .anodyne import (
-    Certificate,
-    CertificateError,
     concatenate,
     dull_start_cells,
     pivot_certificate,

@@ -49,7 +49,6 @@ from .certificates import (
     xi_certificate,
 )
 from .core.complex import (
-    SimplicialSet,
     close_cells,
     simplex_cell,
     standard_simplex,
@@ -302,11 +301,13 @@ def export_text(kind: str, obj: str, n: int, i: int = 1) -> str:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs for one suite run.
+    """The settings of one suite run.
 
     ``checks`` of None enables everything; an empty tuple runs nothing.
     ``objects`` lists the simplex dimensions fed to the twisted arrow
-    fibration check; ``dim_cap`` bounds every dimension-indexed search;
+    fibration check; ``dim_cap`` is the depth to which ``tw-oracle`` and
+    ``tw-cartesian`` build twisted arrow complexes, and the ``max_dim``
+    of the Cartesian fibration check in ``tw-cartesian``;
     ``inject`` of "flat-q1" replaces the scaling in the pivot example by
     the flat one, a deliberate negative control.
     """

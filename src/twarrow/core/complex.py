@@ -15,7 +15,6 @@ from .simplex import (
     Simplex,
     all_words,
     check_word,
-    collapses_to_word,
     degenerate,
     face_stays_degenerate,
     flag_map,
@@ -59,13 +58,6 @@ class SimplicialSet:
             for c, lab in self.labels.items():
                 self._label_index.setdefault(lab, c)
         return self._label_index[label]
-
-    def has_label(self, label) -> bool:
-        try:
-            self.cell_with_label(label)
-            return True
-        except KeyError:
-            return False
 
     # -- simplex calculus ----------------------------------------------
 

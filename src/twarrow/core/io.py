@@ -79,7 +79,8 @@ def complexes_equal(X: SimplicialSet, Y: SimplicialSet) -> bool:
 
 
 def dot_skeleton(X: SimplicialSet, marked=frozenset(), name="complex") -> str:
-    """Graphviz digraph of the 1-skeleton; marked edges drawn bold."""
+    """Graphviz digraph of the 1-skeleton; the edge cells in ``marked``
+    are drawn bold."""
     lines = [f"digraph {json.dumps(name)} {{"]
     for i in range(X.n_cells(0)):
         lab = X.labels.get((0, i))
@@ -88,7 +89,7 @@ def dot_skeleton(X: SimplicialSet, marked=frozenset(), name="complex") -> str:
     for i in range(X.n_cells(1)):
         tail = X.faces[(1, i)][1].base[1]
         head = X.faces[(1, i)][0].base[1]
-        style = ' [penwidth=2, color="firebrick"]' if (1, i) in marked or i in marked else ""
+        style = ' [penwidth=2, color="firebrick"]' if (1, i) in marked else ""
         lines.append(f"  v{tail} -> v{head}{style};")
     lines.append("}")
     return "\n".join(lines)

@@ -6,8 +6,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .complex import Cell, SimplicialSet
-from .simplex import Simplex, degenerate_word, nondeg
+from .complex import Cell, SimplicialSet, point
+from .simplex import Simplex, constant_simplex, degenerate_word, nondeg
 
 
 class SimplicialMap:
@@ -60,14 +60,15 @@ class SimplicialMap:
                 return False
         return True
 
-    def inverse(self) -> "SimplicialMap":
-        assert self.is_isomorphism()
-        data = {img.base: nondeg(*c) for c, img in self.data.items()}
-        return SimplicialMap(self.target, self.source, data, check=False)
-
     @classmethod
     def identity(cls, X: SimplicialSet) -> "SimplicialMap":
         return cls(X, X, {c: nondeg(*c) for c in X.all_cells()}, check=False)
+
+
+def to_point(A: SimplicialSet) -> SimplicialMap:
+    """The map from A to an unlabelled point."""
+    data = {c: constant_simplex((0, 0), c[0]) for c in A.all_cells()}
+    return SimplicialMap(A, point(), data, check=False)
 
 
 def simplex_by_chain(Y: SimplicialSet, chain) -> Simplex:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complex import Cell, SimplicialSet
-from .maps import SimplicialMap
+from .maps import SimplicialMap, unwrap_label
 from .simplex import (
     Simplex,
     collapses_to_word,
@@ -83,20 +83,13 @@ def product(X: SimplicialSet, Y: SimplicialSet,
             index[pair] = (m, i)
             pairs[(m, i)] = pair
 
-    def vlab(Z, v):
-        lab = Z.labels[v]
-        # vertex labels that are singleton chains stand for their element
-        if isinstance(lab, tuple) and len(lab) == 1:
-            return lab[0]
-        return lab
-
     labelled = (all(c in X.labels for c in X.cells(0)) and
                 all(c in Y.labels for c in Y.cells(0)))
     for m, found in per_dim.items():
         for i, (sx, sy) in enumerate(found):
             if labelled:
-                vx = [vlab(X, v) for v in X.vertices(sx)]
-                vy = [vlab(Y, v) for v in Y.vertices(sy)]
+                vx = [unwrap_label(X.labels[v]) for v in X.vertices(sx)]
+                vy = [unwrap_label(Y.labels[v]) for v in Y.vertices(sy)]
                 labels[(m, i)] = tuple(zip(vx, vy))
             if m >= 1:
                 row = []

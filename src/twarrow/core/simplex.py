@@ -50,12 +50,14 @@ def check_word(word: tuple[int, ...], base_dim: int) -> None:
             raise ValueError(f"word {word} out of range for base dim {base_dim}")
 
 
-def word_to_collapses(word: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(word)
-
-
 def collapses_to_word(collapses) -> tuple[int, ...]:
     return tuple(sorted(collapses, reverse=True))
+
+
+def constant_simplex(vertex: tuple[int, int], d: int) -> Simplex:
+    """The totally degenerate d-simplex at a vertex."""
+    assert vertex[0] == 0
+    return Simplex(tuple(range(d - 1, -1, -1)), vertex)
 
 
 def flag_map(word: tuple[int, ...], base_dim: int) -> tuple[int, ...]:

@@ -7,11 +7,11 @@ count as thin resp. marked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core.complex import SimplicialSet
-from .core.maps import SimplicialMap
-from .core.ops import GlueResult, op_simplex
+from .core.maps import SimplicialMap, to_point
+from .core.ops import GlueResult, pushout
 from .core.simplex import Simplex, nondeg
 
 
@@ -41,15 +41,6 @@ class Decorated:
             raise ValueError("markedness is about edges")
         return s.is_degenerate or s.base in self.marked
 
-    def thin_labels(self):
-        return sorted(self.space.labels.get(c, c) for c in self.thin)
-
-    def with_thin(self, extra) -> "Decorated":
-        return replace(self, thin=self.thin | frozenset(extra))
-
-    def with_marked(self, extra) -> "Decorated":
-        return replace(self, marked=self.marked | frozenset(extra))
-
 
 def flat(X: SimplicialSet) -> Decorated:
     return Decorated(X)
@@ -57,11 +48,6 @@ def flat(X: SimplicialSet) -> Decorated:
 
 def sharp(X: SimplicialSet) -> Decorated:
     return Decorated(X, thin=frozenset(X.cells(2)), marked=frozenset(X.cells(1)))
-
-
-def thin_sharp(X: SimplicialSet) -> Decorated:
-    """All triangles thin, no marking."""
-    return Decorated(X, thin=frozenset(X.cells(2)))
 
 
 def preserves_decoration(f: SimplicialMap, src: Decorated, tgt: Decorated) -> bool:
@@ -98,6 +84,18 @@ def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:
             if not img.is_degenerate:
                 marked.add(img.base)
     return Decorated(Q, thin, marked)
+
+
+def collapse_to_point(inc: SimplicialMap,
+                      dec: Decorated) -> tuple[GlueResult, Decorated]:
+    """Crush the image of ``inc`` in ``dec.space`` to a point.
+
+    Returns the pushout, whose pieces are [point, dec.space], and the
+    decoration pushed onto it.
+    """
+    to_pt = to_point(inc.source)
+    res = pushout(to_pt, inc)
+    return res, push_decoration(res, [flat(to_pt.target), dec])
 
 
 def op_decoration(dec: Decorated, Xop: SimplicialSet) -> Decorated:

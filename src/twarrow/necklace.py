@@ -35,7 +35,7 @@ def _bead_ends(X: SimplicialSet, cell: Cell) -> tuple[Cell, Cell]:
     return vs[0], vs[-1]
 
 
-def _normalize(X: SimplicialSet, pieces) -> tuple:
+def _normalize(pieces) -> tuple:
     """Replace degenerate pieces by their cores, discard point pieces."""
     out = []
     for p in pieces:
@@ -54,7 +54,7 @@ def _subdivide(X: SimplicialSet, beads, cuts: frozenset) -> tuple:
         for a, z in zip(marks, marks[1:]):
             out.append(X.restrict(nondeg(*b), tuple(range(a, z + 1))))
         g += d
-    return _normalize(X, out)
+    return _normalize(out)
 
 
 def _cull(X: SimplicialSet, beads, keep: frozenset) -> tuple:
@@ -65,7 +65,7 @@ def _cull(X: SimplicialSet, beads, keep: frozenset) -> tuple:
         pos = tuple(i for i in range(d + 1) if g + i in keep)
         out.append(X.restrict(nondeg(*b), pos))
         g += d
-    return _normalize(X, out)
+    return _normalize(out)
 
 
 def _joints(beads) -> frozenset:

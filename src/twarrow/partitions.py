@@ -27,12 +27,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core.complex import Cell, SimplicialSet, point
+from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
-from .core.ops import GlueResult, pushout, quotient_by_key
+from .core.ops import GlueResult, quotient_by_key
 from .core.poset import Poset, nerve, total_order
 from .core.simplex import Simplex, nondeg
-from .decor import Decorated, flat, push_decoration
+from .decor import Decorated, collapse_to_point, flat
 from .zoo import boxplus_complex, join_parts, q_complex, square_complex, star_complex
 
 SIDES = ("R", "L", "A")
@@ -144,6 +144,8 @@ def is_chain_element(part: OrderedPartition, S) -> bool:
     return chain[0] in part.lower and chain[-1] in part.upper
 
 
+CHAIN_POSET_CAP = 16
+
 _chain_poset_cache: dict = {}
 
 
@@ -153,8 +155,10 @@ def chain_poset(part: OrderedPartition) -> Poset:
     key = (part.poset.elements, part.poset.le, part.lower, part.upper)
     if key not in _chain_poset_cache:
         P = part.poset
-        if len(P.elements) > 16:
-            raise ValueError("chain poset enumeration needs a small poset")
+        if len(P.elements) > CHAIN_POSET_CAP:
+            raise ValueError(
+                f"chain poset enumeration needs a small poset: "
+                f"{len(P.elements)} elements, cap {CHAIN_POSET_CAP}")
         els = [frozenset(c)
                for r in range(1, len(P.elements) + 1)
                for c in itertools.combinations(P.elements, r)
@@ -262,13 +266,6 @@ class Collapse:
     base1: Cell | None
 
 
-def _to_point(A: SimplicialSet) -> SimplicialMap:
-    pt = point()
-    data = {c: Simplex(tuple(range(c[0] - 1, -1, -1)), (0, 0))
-            for c in A.all_cells()}
-    return SimplicialMap(A, pt, data, check=False)
-
-
 def _part_nerve(part: OrderedPartition, dec: Decorated | None) -> Decorated:
     if dec is None:
         return flat(nerve(part.poset))
@@ -279,9 +276,7 @@ def collapse_upper(part: OrderedPartition, dec: Decorated | None = None) -> Coll
     """The nerve with the upper part crushed to a point."""
     dec = _part_nerve(part, dec)
     A = nerve(part.poset.subposet(part.upper))
-    to_pt = _to_point(A)
-    res = pushout(to_pt, map_by_vertices(A, dec.space, lambda e: e))
-    qdec = push_decoration(res, [flat(to_pt.target), dec])
+    res, qdec = collapse_to_point(map_by_vertices(A, dec.space, lambda e: e), dec)
     base1 = res.maps[0](nondeg(0, 0)).base
     return Collapse(qdec, res.maps[1], None, base1)
 
@@ -290,27 +285,19 @@ def collapse_both(part: OrderedPartition, dec: Decorated | None = None) -> Colla
     """The nerve with both parts crushed, one point each."""
     first = collapse_upper(part, dec)
     A = nerve(part.poset.subposet(part.lower))
-    to_pt = _to_point(A)
     inc = first.quot.compose(map_by_vertices(A, first.quot.source, lambda e: e))
-    res = pushout(to_pt, inc)
-    qdec = push_decoration(res, [flat(to_pt.target), first.dec])
+    res, qdec = collapse_to_point(inc, first.dec)
     base0 = res.maps[0](nondeg(0, 0)).base
     base1 = res.maps[1](nondeg(*first.base1)).base
     return Collapse(qdec, res.maps[1].compose(first.quot), base0, base1)
 
 
-def vertex_cell(X: SimplicialSet, e) -> Cell:
-    for c in X.cells(0):
-        if unwrap_label(X.labels.get(c, c)) == e:
-            return c
-    raise ValueError(f"unknown vertex {e!r}")
-
-
 # -- the derived marking on chain-poset edges --------------------------
 
 
-def _segments(P: Poset, S, T):
-    t = sorted_chain(P, T)
+def segments(t: tuple, S) -> list[tuple]:
+    """Cut the increasing tuple ``t`` at the members of ``S``: the
+    pieces between consecutive cuts, ends included, longer than one."""
     cuts = sorted(t.index(s) for s in S)
     bounds = [0] + cuts + [len(t) - 1]
     return [t[a:b + 1] for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -325,7 +312,7 @@ def marked_chain_edge(part: OrderedPartition, col: Collapse, S, T) -> bool:
     if not S <= T:
         raise ValueError("not an inclusion of chain elements")
     X, Q = col.quot.source, col.dec.space
-    for seg in _segments(part.poset, S, T):
+    for seg in segments(sorted_chain(part.poset, T), S):
         img = col.quot(simplex_by_chain(X, seg))
         for tri in itertools.combinations(range(img.dim + 1), 3):
             if not col.dec.is_thin(Q.restrict(img, tri)):

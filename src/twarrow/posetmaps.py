@@ -37,12 +37,16 @@ from .partitions import (
     collapse_both,
     marked_chain_edge,
     q_partition,
-    sorted_chain,
+    segments,
     square_partition,
     star_partition,
     truncate_chain,
 )
 from .zoo import mirror, q_thin_triangle
+
+# the decorated partitions behind the cone kinds, by name
+PARTITIONS = {"q": q_partition, "star": star_partition,
+              "boxplus": boxplus_partition, "square": square_partition}
 
 MAP_NAMES = ("zeta", "B", "G", "H", "h_rho",
              "s_alpha", "s_beta", "r_alpha", "r_beta", "collapse")
@@ -64,11 +68,8 @@ def interval_poset(i: int, j: int) -> Poset:
 def segment_marked(thin3, S, T) -> bool:
     """Ambient-rule marking for interval posets: cut T at the members
     of S and ask every triple inside each piece to be thin."""
-    t = sorted(T)
-    cuts = sorted(t.index(s) for s in S)
-    bounds = [0] + cuts + [len(t) - 1]
-    for a, b in zip(bounds, bounds[1:]):
-        for tri in itertools.combinations(t[a:b + 1], 3):
+    for seg in segments(tuple(sorted(T)), S):
+        for tri in itertools.combinations(seg, 3):
             if not thin3(tri):
                 return False
     return True
@@ -247,15 +248,13 @@ def descends(fn, src_part: OrderedPartition, tgt_part: OrderedPartition,
 
 @lru_cache(maxsize=None)
 def _compendium_collapse(kind: str, n: int) -> Collapse:
-    dp = {"q": q_partition, "star": star_partition,
-          "boxplus": boxplus_partition, "square": square_partition}[kind](n)
+    dp = PARTITIONS[kind](n)
     return collapse_both(dp.part, dp.dec)
 
 
 def chain_edge_marked(kind: str, n: int, S, T) -> bool:
-    dp = {"q": q_partition, "star": star_partition,
-          "boxplus": boxplus_partition, "square": square_partition}[kind](n)
-    return marked_chain_edge(dp.part, _compendium_collapse(kind, n), S, T)
+    part = PARTITIONS[kind](n).part
+    return marked_chain_edge(part, _compendium_collapse(kind, n), S, T)
 
 
 def _markings_preserved(fn, src_poset, src_marked, tgt_marked):
@@ -310,9 +309,7 @@ def _spec(name: str, n: int, params: dict):
              "s_alpha": ("star", "boxplus"), "s_beta": ("boxplus", "boxplus"),
              "r_alpha": ("boxplus", "star"), "r_beta": ("boxplus", "boxplus"),
              "collapse": ("square", "star")}[name]
-    part_of = {"star": star_partition, "boxplus": boxplus_partition,
-               "square": square_partition, "q": q_partition}
-    sp, tp = (part_of[k](n).part for k in kinds)
+    sp, tp = (PARTITIONS[k](n).part for k in kinds)
     fns = {"B": star_to_q, "G": square_to_cone_mirrored,
            "H": square_to_cone_plain, "s_alpha": star_to_graph,
            "s_beta": graph_to_cone, "r_alpha": graph_to_star,

@@ -19,12 +19,13 @@ import itertools
 from dataclasses import dataclass
 
 from . import DIM_CAP
-from .core.complex import Cell, SimplicialSet, point, standard_simplex, subcomplex
+from .core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
 from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
-from .core.ops import ProductData, op_simplex, opposite, product, pushout
+from .core.ops import ProductData, op_simplex, opposite, product
 from .core.poset import Poset, nerve
-from .core.simplex import Simplex, collapses_to_word, nondeg, strip_collapse
-from .decor import Decorated, flat, pull_decoration, push_decoration
+from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
+                           strip_collapse)
+from .decor import Decorated, collapse_to_point, op_decoration, pull_decoration
 from .zoo import (boxplus_complex, boxplus_thin_triangle, cone_inclusion,
                   cone_retraction, q_complex, q_thin_triangle)
 
@@ -187,11 +188,6 @@ def _vertex_cell(space: SimplicialSet, y) -> Cell:
     return hits[0]
 
 
-def _constant_simplex(cell: Cell, d: int) -> Simplex:
-    assert cell[0] == 0
-    return Simplex(tuple(range(d - 1, -1, -1)), cell)
-
-
 # -- the twisted arrow complex -----------------------------------------
 
 
@@ -214,8 +210,8 @@ def tw_projection(twc: WitnessComplex, top_dim: int | None = None):
     """
     C = twc.source
     cap = twc.max_dim if top_dim is None else top_dim
-    pdata = product(C.space, opposite(C.space), top_dim=cap)
-    Cop = op_decorated(C)
+    Cop = op_decoration(C, opposite(C.space))
+    pdata = product(C.space, Cop.space, top_dim=cap)
     thin = frozenset(
         c for c in pdata.complex.cells(2)
         if C.is_thin(pdata.pr1(nondeg(*c))) and Cop.is_thin(pdata.pr2(nondeg(*c))))
@@ -230,11 +226,6 @@ def tw_projection(twc: WitnessComplex, top_dim: int | None = None):
         data[c] = _pair_simplex(pdata, sx, sy)
     f = SimplicialMap(twc.space, pdata.complex, data)
     return f, pdata, Decorated(pdata.complex, thin=thin, marked=marked)
-
-
-def op_decorated(dec: Decorated) -> Decorated:
-    """The same decoration carried over the reversed complex."""
-    return Decorated(opposite(dec.space), thin=dec.thin, marked=dec.marked)
 
 
 def _pair_simplex(pdata: ProductData, sx: Simplex, sy: Simplex) -> Simplex:
@@ -266,10 +257,10 @@ def tw_fiber(twc: WitnessComplex, x=None, y=None):
     for c, w in twc.witness.items():
         n = c[0]
         if cx is not None and \
-                C.restrict(w, range(n + 1)) != _constant_simplex(cx, n):
+                C.restrict(w, range(n + 1)) != constant_simplex(cx, n):
             continue
         if cy is not None and \
-                C.restrict(w, range(n + 1, 2 * n + 2)) != _constant_simplex(cy, n):
+                C.restrict(w, range(n + 1, 2 * n + 2)) != constant_simplex(cy, n):
             continue
         keep.add(c)
     sub, incl_data = subcomplex(twc.space, keep)
@@ -335,7 +326,7 @@ def cone_fiber_complex(src: Decorated, y, max_dim: int) -> WitnessComplex:
 
     def ok(n, x):
         return C.restrict(x, range(n + 1, 2 * n + 3)) == \
-            _constant_simplex(cy, n + 1)
+            constant_simplex(cy, n + 1)
 
     return _build(_MirrorConeShape(), src, max_dim, extra_ok=ok)
 
@@ -383,14 +374,9 @@ def cone_fiber_span(src: Decorated, y, max_dim: int,
 def _collapse_tail(dec: Decorated, first: int):
     """Quotient of a decorated standard simplex collapsing the face on
     the positions from ``first`` up to a point."""
-    X = dec.space
-    A = standard_simplex(X.top_dim - first)
-    inc = map_by_vertices(A, X, lambda v: v + first)
-    pt = point()
-    to_pt = SimplicialMap(A, pt, {c: _constant_simplex((0, 0), c[0])
-                                  for c in A.all_cells()}, check=False)
-    res = pushout(to_pt, inc)
-    qdec = push_decoration(res, [flat(pt), dec])
+    A = standard_simplex(dec.space.top_dim - first)
+    inc = map_by_vertices(A, dec.space, lambda v: v + first)
+    res, qdec = collapse_to_point(inc, dec)
     return qdec, res.maps[1]
 
 

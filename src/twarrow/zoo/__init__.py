@@ -4,7 +4,7 @@ from .simplexlike import (
     q_core_cells, q_core_extended_cells, q_core_dull_family,
     star_complex, boxplus_thin_triangle, boxplus_complex,
     cone_retraction, cone_inclusion,
-    square_complex, square_collapse, join_parts,
+    square_complex, join_parts,
 )
 from .cosimplicial import (
     VertexCosimplicial, mirror_join_object, cone_object,
@@ -25,7 +25,7 @@ __all__ = [
     "q_core_cells", "q_core_extended_cells", "q_core_dull_family",
     "star_complex", "boxplus_thin_triangle", "boxplus_complex",
     "cone_retraction", "cone_inclusion",
-    "square_complex", "square_collapse", "join_parts",
+    "square_complex", "join_parts",
     "VertexCosimplicial", "mirror_join_object", "cone_object",
     "mirror_cone_object", "coface", "realize",
     "Ladder", "ladder_poset", "ladder_leq", "ladder_thin_chain",

@@ -194,15 +194,6 @@ def square_complex(n: int, variant: str = "early") -> tuple[Decorated, ProductDa
     return Decorated(X, thin=thin), data
 
 
-def square_collapse(n: int) -> SimplicialMap:
-    """Collapse of the prism onto the cone, sending the far end to the
-    cone point."""
-    dec, data = square_complex(n)
-    return map_by_vertices(
-        data.complex, standard_simplex(n + 1),
-        lambda lab: lab[0] if lab[1] == 0 else n + 1)
-
-
 def join_parts(kind: str, n: int):
     """The two-sided vertex split (lower part, upper part) of a cone."""
     if kind == "star":

@@ -156,6 +156,8 @@ def test_dot_skeleton_output():
     assert text.startswith("digraph")
     assert text.count("->") == 3
     assert "penwidth" in text
+    # marked takes edge cells; a bare edge index marks nothing
+    assert "penwidth" not in dot_skeleton(X, marked={1})
 
 
 def test_union_find_survives_a_deep_chain():

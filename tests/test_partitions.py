@@ -6,7 +6,7 @@ import pytest
 
 from twarrow.core.complex import standard_simplex
 from twarrow.core.maps import find_isomorphism, simplex_by_chain
-from twarrow.core.poset import all_posets, nerve, total_order
+from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.partitions import (
     boxplus_partition,
     chain_poset,
@@ -92,6 +92,14 @@ def test_chain_poset_slice():
     assert all(0 in S for S in P0.elements)
     with pytest.raises(ValueError, match="lower"):
         chain_poset_at(part, 2)
+
+
+def test_chain_poset_cap_is_named():
+    # an antichain is a valid partition of any split; 17 elements is one
+    # past the cap, which the message must name
+    part = make_partition(Poset(range(17)), range(8), range(8, 17))
+    with pytest.raises(ValueError, match=r"\b16\b"):
+        chain_poset(part)
 
 
 # -- truncation --------------------------------------------------------
