@@ -181,8 +181,15 @@ def point(label=None) -> SimplicialSet:
     return SimplicialSet({0: 1}, {}, labels)
 
 
+# Delta^14 has 32,767 cells; each step up doubles that
+SIMPLEX_CAP = 14
+
+
 def standard_simplex(n: int) -> SimplicialSet:
     """Delta^n with each cell labelled by its vertex tuple."""
+    if n > SIMPLEX_CAP:
+        raise ValueError(f"standard simplex needs a small dimension: "
+                         f"{n}, cap {SIMPLEX_CAP}")
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, int] = {}
     for d in range(n + 1):

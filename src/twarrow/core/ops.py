@@ -51,8 +51,16 @@ class ProductData:
     pairs: dict[Cell, tuple[Simplex, Simplex]]
     index: dict[tuple[Simplex, Simplex], Cell]
 
-    def cell_of(self, sx: Simplex, sy: Simplex) -> Cell:
-        return self.index[(sx, sy)]
+
+def pair_simplex(index: dict[tuple[Simplex, Simplex], Cell],
+                 sx: Simplex, sy: Simplex) -> Simplex:
+    """The simplex of a product with components sx and sy, in canonical
+    form: the collapses both share come off into the word, and the
+    jointly nondegenerate rest is looked up in ``index``."""
+    common = sorted(set(sx.word) & set(sy.word), reverse=True)
+    for t in common:
+        sx, sy = strip_collapse(sx, t), strip_collapse(sy, t)
+    return Simplex(tuple(common), index[(sx, sy)])
 
 
 def product(X: SimplicialSet, Y: SimplicialSet,
@@ -92,15 +100,9 @@ def product(X: SimplicialSet, Y: SimplicialSet,
                 vy = [unwrap_label(Y.labels[v]) for v in Y.vertices(sy)]
                 labels[(m, i)] = tuple(zip(vx, vy))
             if m >= 1:
-                row = []
-                for k in range(m + 1):
-                    fx, fy = X.face(sx, k), Y.face(sy, k)
-                    common = set(fx.word) & set(fy.word)
-                    for j in sorted(common, reverse=True):
-                        fx = strip_collapse(fx, j)
-                        fy = strip_collapse(fy, j)
-                    row.append(Simplex(collapses_to_word(common), index[(fx, fy)]))
-                faces[(m, i)] = tuple(row)
+                faces[(m, i)] = tuple(
+                    pair_simplex(index, X.face(sx, k), Y.face(sy, k))
+                    for k in range(m + 1))
 
     XY = SimplicialSet(counts, faces, labels)
     pr1 = SimplicialMap(XY, X, {c: p[0] for c, p in pairs.items()}, check=False)

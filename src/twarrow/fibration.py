@@ -191,20 +191,31 @@ def _squares(p: SimplicialMap, incl: SimplicialMap):
     return squares
 
 
+def _verdict(prop: str, max_dim: int, groups, detail,
+             squares: int = 0) -> FibrationReport:
+    """Walk ``groups``, pairs (key, squares), counting the squares on top
+    of ``squares``; fail at the first one ``solve_lift`` cannot fill,
+    with ``detail(*key)``."""
+    for key, probs in groups:
+        for prob in probs:
+            squares += 1
+            if solve_lift(prob) is None:
+                return FibrationReport(prop, max_dim, False, prob, squares,
+                                       detail(*key))
+    return FibrationReport(prop, max_dim, True, None, squares)
+
+
+def _all_squares(p: SimplicialMap, incl: SimplicialMap):
+    return _squares(p, incl)(enumerate_homs(incl.source, p.source))
+
+
 def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against every inner horn square up to max_dim."""
     _cap(max_dim)
-    squares = 0
-    for n in range(2, max_dim + 1):
-        for i in range(1, n):
-            incl = horn_inclusion(n, i)
-            for prob in _squares(p, incl)(enumerate_homs(incl.source, p.source)):
-                squares += 1
-                if solve_lift(prob) is None:
-                    return FibrationReport(
-                        "inner-fibration", max_dim, False, prob, squares,
-                        f"unfillable square against the ({n},{i}) horn")
-    return FibrationReport("inner-fibration", max_dim, True, None, squares)
+    return _verdict("inner-fibration", max_dim, (
+        ((n, i), _all_squares(p, horn_inclusion(n, i)))
+        for n in range(2, max_dim + 1) for i in range(1, n)),
+        "unfillable square against the ({},{}) horn".format)
 
 
 def _edge_of(X: SimplicialSet, e) -> Simplex:
@@ -223,23 +234,27 @@ def _last_edge_cell(incl: SimplicialMap):
     return _back(incl)[simplex_cell(n, (n - 1, n))]
 
 
+def _right_horn_groups(p: SimplicialMap, edges, max_dim: int):
+    """Per right horn (n, n) up to max_dim and per edge e of ``edges``:
+    the key (e, n, n) and the squares whose final edge is e."""
+    for n in range(2, max_dim + 1):
+        incl = horn_inclusion(n, n)
+        last = _last_edge_cell(incl)
+        by_edge: dict = {}
+        for f in enumerate_homs(incl.source, p.source):
+            by_edge.setdefault(f.data[last], []).append(f)
+        squares_of = _squares(p, incl)
+        for e in edges:
+            yield (e, n, n), squares_of(by_edge.get(e, []))
+
+
 def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
     """Right lifting against the right horns whose final edge is e."""
     _cap(max_dim)
     e = _edge_of(p.source, e)
-    squares = 0
-    for n in range(2, max_dim + 1):
-        incl = horn_inclusion(n, n)
-        last = _last_edge_cell(incl)
-        tops = [f for f in enumerate_homs(incl.source, p.source)
-                if f.data[last] == e]
-        for prob in _squares(p, incl)(tops):
-            squares += 1
-            if solve_lift(prob) is None:
-                return FibrationReport(
-                    "cartesian-edge", max_dim, False, prob, squares,
-                    f"edge {e} fails the ({n},{n}) horn test")
-    return FibrationReport("cartesian-edge", max_dim, True, None, squares)
+    return _verdict("cartesian-edge", max_dim,
+                    _right_horn_groups(p, [e], max_dim),
+                    "edge {} fails the ({},{}) horn test".format)
 
 
 def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
@@ -290,24 +305,15 @@ def cartesian_fibration(p: SimplicialMap, dec: Decorated,
         return FibrationReport(
             "cartesian-fibration", max_dim, False, inner.counterexample,
             inner.squares, "inner fibration fails: " + inner.detail)
-    squares = inner.squares
-    for n in range(2, max_dim + 1):
-        incl = horn_inclusion(n, n)
-        last = _last_edge_cell(incl)
-        by_edge: dict = {}
-        for f in enumerate_homs(incl.source, p.source):
-            by_edge.setdefault(f.data[last], []).append(f)
-        squares_of = _squares(p, incl)
-        for c in sorted(dec.marked):
-            e = nondeg(*c)
-            for prob in squares_of(by_edge.get(e, [])):
-                squares += 1
-                if solve_lift(prob) is None:
-                    return FibrationReport(
-                        "cartesian-fibration", max_dim, False, prob, squares,
-                        f"marked edge {e} fails the ({n},{n}) horn test")
+    edges = [nondeg(*c) for c in sorted(dec.marked)]
+    marked = _verdict("cartesian-fibration", max_dim,
+                      _right_horn_groups(p, edges, max_dim),
+                      "marked edge {} fails the ({},{}) horn test".format,
+                      inner.squares)
+    if not marked.ok:
+        return marked
     supply = marked_supply(p, dec)
-    squares += supply.squares
+    squares = marked.squares + supply.squares
     if not supply.ok:
         return FibrationReport(
             "cartesian-fibration", max_dim, False, supply.counterexample,
@@ -319,13 +325,7 @@ def trivial_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against the boundary inclusions up to max_dim; the
     dimension 0 case is surjectivity on vertices."""
     _cap(max_dim)
-    squares = 0
-    for n in range(max_dim + 1):
-        incl = boundary_inclusion(n)
-        for prob in _squares(p, incl)(enumerate_homs(incl.source, p.source)):
-            squares += 1
-            if solve_lift(prob) is None:
-                return FibrationReport(
-                    "trivial-fibration", max_dim, False, prob, squares,
-                    f"unfillable square against the boundary of dimension {n}")
-    return FibrationReport("trivial-fibration", max_dim, True, None, squares)
+    return _verdict("trivial-fibration", max_dim, (
+        ((n,), _all_squares(p, boundary_inclusion(n)))
+        for n in range(max_dim + 1)),
+        "unfillable square against the boundary of dimension {}".format)

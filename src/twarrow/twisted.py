@@ -7,8 +7,10 @@ mirror-join thin triangles are thin.  Faces and degeneracies act through
 the cosimplicial structure of the mirror join, so the k-th face deletes
 the position pair {k, 2n+1-k} and the j-th degeneracy doubles a mirror
 pair of positions.  The slice and cone-fiber complexes are built the
-same way from the cone and mirror-cone shapes, and all three share one
-normalization engine below.
+same way from the cone and the mirror cone.  All three read the witness
+dimension, the face and collapse positions and the thin triangles from
+the cosimplicial objects of :mod:`twarrow.zoo.cosimplicial`, and share
+one normalization engine below.
 
 Simplex identity is the witness itself; no quotient is taken.
 """
@@ -21,78 +23,14 @@ from dataclasses import dataclass
 from . import DIM_CAP
 from .core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
 from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
-from .core.ops import ProductData, op_simplex, opposite, product
+from .core.ops import op_simplex, opposite, pair_simplex, product
 from .core.poset import Poset, nerve
 from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
                            strip_collapse)
 from .decor import Decorated, collapse_to_point, op_decoration, pull_decoration
-from .zoo import (boxplus_complex, boxplus_thin_triangle, cone_inclusion,
-                  cone_retraction, q_complex, q_thin_triangle)
-
-
-# -- the three witness shapes ------------------------------------------
-
-
-class _MirrorShape:
-    """Witnesses are (2n+1)-simplices, structure maps act in mirror pairs."""
-
-    def witness_dim(self, n: int) -> int:
-        return 2 * n + 1
-
-    def face_positions(self, n: int, k: int) -> tuple[int, ...]:
-        return (k, 2 * n + 1 - k)
-
-    def degeneracy_positions(self, n: int, j: int) -> tuple[int, ...]:
-        # an n-cell is s_j of an (n-1)-cell iff both positions collapse
-        return (j, 2 * n - j)
-
-    def thin_triples(self, n: int):
-        w = self.witness_dim(n)
-        return [t for t in itertools.combinations(range(w + 1), 3)
-                if q_thin_triangle(n, t)]
-
-    def label(self, chain, n: int):
-        return tuple((chain[i], chain[2 * n + 1 - i]) for i in range(n + 1))
-
-
-class _ConeShape:
-    """Witnesses are (n+1)-simplices ending at the slice vertex."""
-
-    def witness_dim(self, n: int) -> int:
-        return n + 1
-
-    def face_positions(self, n: int, k: int) -> tuple[int, ...]:
-        return (k,)
-
-    def degeneracy_positions(self, n: int, j: int) -> tuple[int, ...]:
-        return (j,)
-
-    def thin_triples(self, n: int):
-        return list(itertools.combinations(range(n + 1), 3))
-
-    def label(self, chain, n: int):
-        return tuple(chain[: n + 1])
-
-
-class _MirrorConeShape:
-    """Witnesses are (2n+2)-simplices, constant at the cone tail."""
-
-    def witness_dim(self, n: int) -> int:
-        return 2 * n + 2
-
-    def face_positions(self, n: int, k: int) -> tuple[int, ...]:
-        return (k, 2 * n + 1 - k)
-
-    def degeneracy_positions(self, n: int, j: int) -> tuple[int, ...]:
-        return (j, 2 * n - j)
-
-    def thin_triples(self, n: int):
-        w = self.witness_dim(n)
-        return [t for t in itertools.combinations(range(w + 1), 3)
-                if boxplus_thin_triangle(n, t)]
-
-    def label(self, chain, n: int):
-        return tuple(chain[: n + 1])
+from .zoo import (VertexCosimplicial, boxplus_complex, cone_inclusion,
+                  cone_object, cone_retraction, mirror_cone_object,
+                  mirror_join_object, q_complex)
 
 
 # -- the shared builder ------------------------------------------------
@@ -101,14 +39,15 @@ class _MirrorConeShape:
 @dataclass
 class WitnessComplex:
     """A complex whose nondegenerate cells carry witness simplices of a
-    source complex, together with the tables to go back and forth."""
+    source complex, together with the tables to go back and forth.
+    ``shape`` is the cosimplicial object the witnesses are maps out of."""
 
     dec: Decorated
     source: Decorated
     max_dim: int
     witness: dict
     cell_of: dict
-    shape: object
+    shape: VertexCosimplicial
 
     @property
     def space(self) -> SimplicialSet:
@@ -116,15 +55,9 @@ class WitnessComplex:
 
     def normalize(self, x: Simplex, n: int) -> Simplex:
         """The cell-level simplex named by an arbitrary valid witness."""
-        shape, phi, m = self.shape, list(range(n + 1)), n
-        while True:
-            S = set(x.word)
-            j = next((j for j in range(m)
-                      if all(p in S for p in shape.degeneracy_positions(m, j))),
-                     None)
-            if j is None:
-                break
-            for p in sorted(shape.degeneracy_positions(m, j), reverse=True):
+        phi, m = list(range(n + 1)), n
+        while (j := _collapse_index(self.shape, x, m)) is not None:
+            for p in reversed(self.shape.collapse_positions(m)[j]):
                 x = strip_collapse(x, p)
             phi = [v if v <= j else v - 1 for v in phi]
             m -= 1
@@ -132,21 +65,28 @@ class WitnessComplex:
         return Simplex(word, self.cell_of[x])
 
 
-def _is_shape_degenerate(shape, x: Simplex, n: int) -> bool:
+def _collapse_index(F: VertexCosimplicial, x: Simplex, n: int) -> int | None:
+    """The first j for which the n-witness x factors through the j-th
+    codegeneracy, i.e. names the j-th degeneracy of a lower cell."""
     S = set(x.word)
-    return any(all(p in S for p in shape.degeneracy_positions(n, j))
-               for j in range(n))
+    return next((j for j, ps in enumerate(F.collapse_positions(n))
+                 if all(p in S for p in ps)), None)
 
 
-def _build(shape, src: Decorated, max_dim: int, extra_ok=None) -> WitnessComplex:
+def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,
+           extra_ok=None) -> WitnessComplex:
+    """The n-cells are the F.width(n)-simplices of ``src`` that are thin
+    on F's thin triples at [n], factor through no codegeneracy and pass
+    ``extra_ok``; ``label(chain, n)`` names a cell by the vertex chain
+    of its witness."""
     space = src.space
     counts, faces, labels = {}, {}, {}
     witness, cell_of = {}, {}
     for n in range(max_dim + 1):
-        triples = shape.thin_triples(n)
+        triples = F.thin_triples(n)
         found = []
-        for x in space.simplices(shape.witness_dim(n)):
-            if _is_shape_degenerate(shape, x, n):
+        for x in space.simplices(F.width(n)):
+            if _collapse_index(F, x, n) is not None:
                 continue
             if extra_ok is not None and not extra_ok(n, x):
                 continue
@@ -158,26 +98,32 @@ def _build(shape, src: Decorated, max_dim: int, extra_ok=None) -> WitnessComplex
         for i, x in enumerate(found):
             witness[(n, i)] = x
             cell_of[x] = (n, i)
-            labels[(n, i)] = shape.label(
+            labels[(n, i)] = label(
                 tuple(map(unwrap_label, space.vertex_labels(x))), n)
     if len(set(labels.values())) < len(labels):
         labels = {}
     out = WitnessComplex(Decorated(SimplicialSet(counts, {}, labels)),
-                         src, max_dim, witness, cell_of, shape)
+                         src, max_dim, witness, cell_of, F)
     for (n, i), x in witness.items():
         if n >= 1:
             faces[(n, i)] = tuple(
-                out.normalize(space.face_many(x, shape.face_positions(n, k)),
-                              n - 1)
-                for k in range(n + 1))
+                out.normalize(space.face_many(x, ps), n - 1)
+                for ps in F.face_positions(n))
     built = SimplicialSet(counts, faces, labels)
     marked = frozenset(
         c for c in built.cells(1)
         if all(src.is_thin(space.restrict(witness[c], t))
-               for t in itertools.combinations(
-                   range(shape.witness_dim(1) + 1), 3)))
+               for t in itertools.combinations(range(F.width(1) + 1), 3)))
     out.dec = Decorated(built, marked=marked)
     return out
+
+
+def _mirror_label(chain, n: int):
+    return tuple((chain[i], chain[2 * n + 1 - i]) for i in range(n + 1))
+
+
+def _head_label(chain, n: int):
+    return tuple(chain[: n + 1])
 
 
 def _vertex_cell(space: SimplicialSet, y) -> Cell:
@@ -201,7 +147,7 @@ def twisted_arrow(src: Decorated, max_dim: int) -> WitnessComplex:
     """
     if max_dim > DIM_CAP:
         raise ValueError(f"max_dim {max_dim} above the dimension cap {DIM_CAP}")
-    return _build(_MirrorShape(), src, max_dim)
+    return _build(mirror_join_object(), _mirror_label, src, max_dim)
 
 
 def tw_projection(twc: WitnessComplex, top_dim: int | None = None):
@@ -223,17 +169,9 @@ def tw_projection(twc: WitnessComplex, top_dim: int | None = None):
         n = c[0]
         sx = C.space.restrict(x, range(n + 1))
         sy = op_simplex(C.space.restrict(x, range(n + 1, 2 * n + 2)))
-        data[c] = _pair_simplex(pdata, sx, sy)
+        data[c] = pair_simplex(pdata.index, sx, sy)
     f = SimplicialMap(twc.space, pdata.complex, data)
     return f, pdata, Decorated(pdata.complex, thin=thin, marked=marked)
-
-
-def _pair_simplex(pdata: ProductData, sx: Simplex, sy: Simplex) -> Simplex:
-    """The product simplex with the given jointly arbitrary components."""
-    common = sorted(set(sx.word) & set(sy.word), reverse=True)
-    for t in common:
-        sx, sy = strip_collapse(sx, t), strip_collapse(sy, t)
-    return Simplex(collapses_to_word(common), pdata.cell_of(sx, sy))
 
 
 def tw_functor(f: SimplicialMap, src_tw: WitnessComplex,
@@ -308,7 +246,7 @@ def slice_outer(src: Decorated, y, max_dim: int) -> WitnessComplex:
     def ok(n, x):
         return src.space.vertices(x)[n + 1] == cy
 
-    return _build(_ConeShape(), src, max_dim, extra_ok=ok)
+    return _build(cone_object(), _head_label, src, max_dim, extra_ok=ok)
 
 
 def slice_projection(slc: WitnessComplex) -> SimplicialMap:
@@ -328,7 +266,8 @@ def cone_fiber_complex(src: Decorated, y, max_dim: int) -> WitnessComplex:
         return C.restrict(x, range(n + 1, 2 * n + 3)) == \
             constant_simplex(cy, n + 1)
 
-    return _build(_MirrorConeShape(), src, max_dim, extra_ok=ok)
+    return _build(mirror_cone_object(), _head_label, src, max_dim,
+                  extra_ok=ok)
 
 
 @dataclass

@@ -2,7 +2,7 @@ from .simplexlike import (
     mirror, tau_subset, q_thin_triangle, q_thin_cells, q_complex,
     q_thin_count, q_diamond_extra, q_diamond, tau_map,
     q_core_cells, q_core_extended_cells, q_core_dull_family,
-    star_complex, boxplus_thin_triangle, boxplus_complex,
+    star_thin_triangle, star_complex, boxplus_thin_triangle, boxplus_complex,
     cone_retraction, cone_inclusion,
     square_complex, join_parts,
 )
@@ -23,7 +23,8 @@ __all__ = [
     "mirror", "tau_subset", "q_thin_triangle", "q_thin_cells", "q_complex",
     "q_thin_count", "q_diamond_extra", "q_diamond", "tau_map",
     "q_core_cells", "q_core_extended_cells", "q_core_dull_family",
-    "star_complex", "boxplus_thin_triangle", "boxplus_complex",
+    "star_thin_triangle", "star_complex", "boxplus_thin_triangle",
+    "boxplus_complex",
     "cone_retraction", "cone_inclusion",
     "square_complex", "join_parts",
     "VertexCosimplicial", "mirror_join_object", "cone_object",

@@ -131,9 +131,13 @@ def q_core_dull_family(n: int, i: int) -> list[frozenset[int]]:
 # -- cones -------------------------------------------------------------
 
 
+def star_thin_triangle(n: int, tri) -> bool:
+    return max(tri) <= n
+
+
 def star_complex(n: int) -> Decorated:
     X = standard_simplex(n + 1)
-    thin = {c for c in X.cells(2) if max(X.labels[c]) <= n}
+    thin = {c for c in X.cells(2) if star_thin_triangle(n, X.labels[c])}
     return Decorated(X, thin=thin)
 
 

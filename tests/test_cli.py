@@ -114,6 +114,14 @@ def test_zoo_build_cli(tmp_path):
     assert main(["zoo", "build", "k", "--n", "0"]) == 2
 
 
+def test_oversized_simplex_fails_fast(capsys):
+    from twarrow.core.complex import SIMPLEX_CAP
+    assert main(["zoo", "build", "q", "--n", "40"]) == 2
+    assert f"81, cap {SIMPLEX_CAP}" in capsys.readouterr().err
+    assert main(["export", "json", "tw", "--n", "30"]) == 2
+    assert f"30, cap {SIMPLEX_CAP}" in capsys.readouterr().err
+
+
 # -- tw and poset commands ---------------------------------------------
 
 

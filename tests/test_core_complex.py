@@ -17,6 +17,15 @@ def test_standard_simplex_counts_and_validation():
             assert X.n_cells(d) == comb(n + 1, d + 1)
 
 
+def test_standard_simplex_cap_is_named():
+    from twarrow.core.complex import SIMPLEX_CAP
+    # the largest simplex the tests and the suite build is Delta^10
+    assert SIMPLEX_CAP >= 10
+    for n in (SIMPLEX_CAP + 1, 40):
+        with pytest.raises(ValueError, match=f"{n}, cap {SIMPLEX_CAP}"):
+            standard_simplex(n)
+
+
 def test_standard_simplex_vertex_labels():
     X = standard_simplex(3)
     for c in X.all_cells():

@@ -2,6 +2,7 @@
 
 import itertools
 
+from twarrow import DIM_CAP
 from twarrow.core import (
     Simplex,
     find_isomorphism,
@@ -18,6 +19,7 @@ from twarrow.zoo import (
     band_cells,
     bar_element,
     boxplus_complex,
+    boxplus_thin_triangle,
     cone_inclusion,
     cone_object,
     cone_retraction,
@@ -175,6 +177,45 @@ def test_realize_over_standard_simplex():
     for n in range(2):
         res = realize(mirror_cone_object(), standard_simplex(n))
         assert find_isomorphism(res.complex, standard_simplex(2 * n + 2))
+
+
+def test_cosimplicial_positions_and_thin_triples_pinned():
+    # the literal tables the twisted arrow, slice and cone-fiber
+    # builders used before reading them off the objects
+    def mirror_faces(n):
+        return tuple((k, 2 * n + 1 - k) for k in range(n + 1))
+
+    def mirror_collapses(n):
+        return tuple((j, 2 * n - j) for j in range(n))
+
+    def triples(w, rule):
+        return [t for t in itertools.combinations(range(w + 1), 3) if rule(t)]
+
+    for n in range(DIM_CAP + 1):
+        mj, co, mc = mirror_join_object(), cone_object(), mirror_cone_object()
+        assert (mj.width(n), co.width(n), mc.width(n)) == \
+            (2 * n + 1, n + 1, 2 * n + 2)
+        if n >= 1:
+            assert mj.face_positions(n) == mirror_faces(n)
+            assert co.face_positions(n) == tuple((k,) for k in range(n + 1))
+            assert mc.face_positions(n) == mirror_faces(n)
+        assert mj.collapse_positions(n) == mirror_collapses(n)
+        assert co.collapse_positions(n) == tuple((j,) for j in range(n))
+        assert mc.collapse_positions(n) == mirror_collapses(n)
+        assert mj.thin_triples(n) == triples(
+            2 * n + 1, lambda t: q_thin_triangle(n, t))
+        assert co.thin_triples(n) == triples(n, lambda t: True)
+        assert mc.thin_triples(n) == triples(
+            2 * n + 2, lambda t: boxplus_thin_triangle(n, t))
+
+
+def test_cosimplicial_thin_triples_scale_the_zoo_values():
+    for n in range(4):
+        for F, dec in ((mirror_join_object(), q_complex(n)),
+                       (cone_object(), star_complex(n)),
+                       (mirror_cone_object(), boxplus_complex(n))):
+            assert dec.space.top_dim == F.width(n)
+            assert set(F.thin_triples(n)) == thin_labels(dec)
 
 
 def test_realize_over_two_points():
