@@ -15,8 +15,8 @@ from .simplex import (
     Simplex,
     all_words,
     check_word,
-    degenerate,
-    face_stays_degenerate,
+    compose_words,
+    face_rule,
     flag_map,
     nondeg,
 )
@@ -62,23 +62,25 @@ class SimplicialSet:
     # -- simplex calculus ----------------------------------------------
 
     def face(self, x: Simplex, i: int) -> Simplex:
-        """d_i applied to an arbitrary simplex, in canonical form."""
-        if not 0 <= i <= x.dim:
+        """d_i applied to an arbitrary simplex, in canonical form.
+
+        On s_w (b) this is one cached rule per (w, i): either the face
+        stays over b, or it is d_k b followed by a cached word
+        composition.
+        """
+        word, base = x
+        if not 0 <= i <= base[0] + len(word):
             raise ValueError(f"d_{i} undefined on a {x.dim}-simplex")
-        out = face_stays_degenerate(x, i)
-        if out is not None:
-            return out
-        if x.word:
-            j = x.word[0]
-            rest = Simplex(x.word[1:], x.base)
-            # i not in {j, j+1} here, handled above
-            if i < j:
-                return degenerate(self.face(rest, i), j - 1)
-            return degenerate(self.face(rest, i - 1), j)
-        d, idx = x.base
-        if d == 0:
+        if word:
+            word, i = face_rule(word, i)
+            if i is None:
+                return Simplex(word, base)
+        elif base[0] == 0:
             raise ValueError("a vertex has no faces")
-        return self.faces[(d, idx)][i]
+        f = self.faces[base][i]
+        if not word:
+            return f
+        return Simplex(compose_words(word, f.word, f.dim), f.base)
 
     def face_many(self, x: Simplex, indices) -> Simplex:
         """Apply d_i for i in ``indices``, highest first so positions
@@ -95,8 +97,9 @@ class SimplicialSet:
 
     def vertices(self, x: Simplex) -> tuple[Cell, ...]:
         base_verts = self._base_vertices(x.base)
-        pi = flag_map(x.word, x.base[0])
-        return tuple(base_verts[v] for v in pi)
+        if not x.word:
+            return base_verts
+        return tuple(base_verts[v] for v in flag_map(x.word, x.base[0]))
 
     def _base_vertices(self, cell: Cell) -> tuple[Cell, ...]:
         if cell in self._verts:

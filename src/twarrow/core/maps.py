@@ -102,13 +102,13 @@ def map_by_vertices(X: SimplicialSet, Y: SimplicialSet, vertex_fn) -> Simplicial
     Each nondegenerate cell of X is sent to the Y-simplex whose chain is
     the image of its vertex-label chain under ``vertex_fn``.  Labels that
     are singleton tuples (nerve and standard simplex vertices) are
-    unwrapped before the function sees them.
+    unwrapped before the function sees them, and it sees each vertex
+    once.
     """
-    data = {}
-    for c in X.all_cells():
-        chain = tuple(vertex_fn(unwrap_label(lab))
-                      for lab in X.vertex_labels(nondeg(*c)))
-        data[c] = simplex_by_chain(Y, chain)
+    image = {v: vertex_fn(unwrap_label(X.labels.get(v))) for v in X.cells(0)}
+    data = {c: simplex_by_chain(Y, tuple(image[v] for v in
+                                         X.vertices(nondeg(*c))))
+            for c in X.all_cells()}
     return SimplicialMap(X, Y, data)
 
 

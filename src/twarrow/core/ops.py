@@ -1,25 +1,32 @@
 """Products, joins, opposites, and a generic gluing engine.
 
-The gluing engine implements colimits we need (pushouts, quotients by a
-labelling congruence, disjoint unions) as one union-find pass over the
-simplices of the pieces, closed under faces and degeneracies.
+All three constructions work on nondegenerate cells, which fix them by
+the Eilenberg-Zilber lemma.  A product cell is a pair (s_I x, s_J y) of
+degeneracies of nondegenerate cells with I and J disjoint.  The gluing
+engine implements the colimits we need (pushouts, quotients by a
+labelling congruence, disjoint unions): it closes the relations under
+faces, then glues one dimension at a time with a union-find over the
+pieces' nondegenerate cells and the degenerate forms already fixed
+below.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 from .complex import Cell, SimplicialSet
 from .maps import SimplicialMap, unwrap_label
 from .simplex import (
     Simplex,
     collapses_to_word,
-    degenerate,
     degenerate_word,
+    face_rule,
+    flag_map,
     nondeg,
     op_word,
-    strip_collapse,
 )
 
 
@@ -57,35 +64,80 @@ def pair_simplex(index: dict[tuple[Simplex, Simplex], Cell],
     """The simplex of a product with components sx and sy, in canonical
     form: the collapses both share come off into the word, and the
     jointly nondegenerate rest is looked up in ``index``."""
-    common = sorted(set(sx.word) & set(sy.word), reverse=True)
+    common, wx, wy = _split_shared(sx.word, sy.word)
+    if common:
+        sx, sy = Simplex(wx, sx.base), Simplex(wy, sy.base)
+    return Simplex(common, index[(sx, sy)])
+
+
+@functools.lru_cache(maxsize=None)
+def _split_shared(wx: tuple[int, ...], wy: tuple[int, ...]):
+    """(shared collapses, wx and wy with them stripped), highest first so
+    the lower positions keep their meaning."""
+    common = tuple(t for t in wx if t in wy)
     for t in common:
-        sx, sy = strip_collapse(sx, t), strip_collapse(sy, t)
-    return Simplex(tuple(common), index[(sx, sy)])
+        wx, wy = face_rule(wx, t)[0], face_rule(wy, t)[0]
+    return common, wx, wy
+
+
+# the tests and the suite build products of at most 2,900 cells; one
+# at the cap takes about 3 s
+PRODUCT_CAP = 50_000
+
+
+@functools.lru_cache(maxsize=None)
+def shuffle_words(p: int, q: int, m: int) -> tuple:
+    """The word pairs (I, J) making (s_I x, s_J y) a nondegenerate
+    m-simplex of a product, for x and y nondegenerate of dimensions p
+    and q: I and J are disjoint, |I| = m - p and |J| = m - q."""
+    out = []
+    for I in itertools.combinations(range(m), m - p):
+        rest = [t for t in range(m) if t not in I]
+        for J in itertools.combinations(rest, m - q):
+            out.append((collapses_to_word(I), collapses_to_word(J)))
+    return tuple(out)
+
+
+def product_size(X: SimplicialSet, Y: SimplicialSet, cap: int) -> int:
+    """Cells of X x Y up to dimension cap, counted from the cell counts."""
+    return sum(nx * ny * comb(m, m - p) * comb(p, m - q)
+               for p, nx in X.counts.items() for q, ny in Y.counts.items()
+               for m in range(max(p, q), min(p + q, cap) + 1))
+
+
+def _vertex_label_rows(X: SimplicialSet) -> dict[Cell, tuple]:
+    """Each cell's vertex labels, singleton chains unwrapped."""
+    return {c: tuple(unwrap_label(X.labels[v])
+                     for v in X.vertices(nondeg(*c))) for c in X.all_cells()}
 
 
 def product(X: SimplicialSet, Y: SimplicialSet,
             top_dim: int | None = None) -> ProductData:
-    """Product complex; cells are jointly nondegenerate simplex pairs."""
+    """Product complex; cells are jointly nondegenerate simplex pairs
+    (s_I x, s_J y), x and y nondegenerate and I, J disjoint."""
     cap = X.top_dim + Y.top_dim
     if top_dim is not None:
         cap = min(cap, top_dim)
+    size = product_size(X, Y, cap)
+    if size > PRODUCT_CAP:
+        raise ValueError(f"product needs small factors: {size} cells, "
+                         f"cap {PRODUCT_CAP}")
+    per_dim: dict[int, list[tuple[Simplex, Simplex]]] = {}
+    for p in sorted(X.counts):
+        for q in sorted(Y.counts):
+            for m in range(max(p, q), min(p + q, cap) + 1):
+                found = per_dim.setdefault(m, [])
+                words = shuffle_words(p, q, m)
+                for cx in X.cells(p):
+                    for cy in Y.cells(q):
+                        found.extend((Simplex(wx, cx), Simplex(wy, cy))
+                                     for wx, wy in words)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple[Simplex, Simplex], Cell] = {}
     pairs: dict[Cell, tuple[Simplex, Simplex]] = {}
-    per_dim: dict[int, list[tuple[Simplex, Simplex]]] = {}
-    for m in range(cap + 1):
-        found = []
-        for sx in X.simplices(m):
-            free = [t for t in range(m) if t not in sx.word]
-            for k in range(len(free) + 1):
-                for extra in itertools.combinations(free, k):
-                    sy_dim = m - len(extra)
-                    for cy in Y.cells(sy_dim):
-                        found.append((sx, Simplex(collapses_to_word(extra), cy)))
+    for m in sorted(per_dim):
+        found = per_dim[m]
         found.sort()
-        if not found:
-            continue
-        per_dim[m] = found
         counts[m] = len(found)
         for i, pair in enumerate(found):
             index[pair] = (m, i)
@@ -93,16 +145,19 @@ def product(X: SimplicialSet, Y: SimplicialSet,
 
     labelled = (all(c in X.labels for c in X.cells(0)) and
                 all(c in Y.labels for c in Y.cells(0)))
-    for m, found in per_dim.items():
-        for i, (sx, sy) in enumerate(found):
-            if labelled:
-                vx = [unwrap_label(X.labels[v]) for v in X.vertices(sx)]
-                vy = [unwrap_label(Y.labels[v]) for v in Y.vertices(sy)]
-                labels[(m, i)] = tuple(zip(vx, vy))
-            if m >= 1:
-                faces[(m, i)] = tuple(
-                    pair_simplex(index, X.face(sx, k), Y.face(sy, k))
-                    for k in range(m + 1))
+    if labelled:
+        vlx, vly = _vertex_label_rows(X), _vertex_label_rows(Y)
+    for (m, i), (sx, sy) in pairs.items():
+        if labelled:
+            vx = vlx[sx.base]
+            vy = vly[sy.base]
+            labels[(m, i)] = tuple(
+                (vx[a], vy[b]) for a, b in zip(flag_map(sx.word, sx.base[0]),
+                                               flag_map(sy.word, sy.base[0])))
+        if m >= 1:
+            faces[(m, i)] = tuple(
+                pair_simplex(index, X.face(sx, k), Y.face(sy, k))
+                for k in range(m + 1))
 
     XY = SimplicialSet(counts, faces, labels)
     pr1 = SimplicialMap(XY, X, {c: p[0] for c, p in pairs.items()}, check=False)
@@ -226,7 +281,40 @@ class _UnionFind:
 class GlueResult:
     complex: SimplicialSet
     maps: list[SimplicialMap]
+    # per dimension, per new cell: its nondegenerate members, sorted
     classes: dict[int, list[list[Member]]] = field(repr=False, default=None)
+
+
+# input cells up to the cap; the tests and the suite glue at most 512,
+# and a gluing at the cap takes seconds before its relations count
+GLUE_CAP = 100_000
+
+
+def _face_closure(pieces: list[SimplicialSet], relations) -> dict[int, list]:
+    """The relations closed under faces, as a spanning forest per
+    dimension: the pairs that joined two classes, highest dimension
+    first, so a pair already implied adds nothing and its faces are
+    implied too."""
+    by_dim: dict[int, list[tuple[Member, Member]]] = {}
+    for a, b in relations:
+        if a[1].dim != b[1].dim:
+            raise ValueError("identified simplices of different dimension")
+        by_dim.setdefault(a[1].dim, []).append((a, b))
+    forest: dict[int, list[tuple[Member, Member]]] = {}
+    for m in range(max(by_dim, default=-1), -1, -1):
+        uf = _UnionFind()
+        kept = forest[m] = []
+        below = by_dim.setdefault(m - 1, []) if m >= 1 else None
+        for a, b in by_dim.get(m, ()):
+            if not uf.union(a, b):
+                continue
+            kept.append((a, b))
+            if m >= 1:
+                (pa, xa), (pb, xb) = a, b
+                X, Y = pieces[pa], pieces[pb]
+                below.extend(((pa, X.face(xa, i)), (pb, Y.face(xb, i)))
+                             for i in range(m + 1))
+    return forest
 
 
 def glue(pieces: list[SimplicialSet], relations,
@@ -235,97 +323,76 @@ def glue(pieces: list[SimplicialSet], relations,
 
     ``relations`` is an iterable of member pairs ((p, x), (q, y)) with x
     a simplex of pieces[p] and y one of pieces[q], of equal dimension.
-    The identification is closed under faces and degeneracies.
+    The relations are closed under faces, above ``top_dim`` too, then
+    the dimensions are glued upward on nondegenerate cells: by the
+    Eilenberg-Zilber lemma a degenerate member s_w (b) is the final
+    degenerate form s_w nf(b) of its base's class, so one union-find
+    per dimension over the pieces' m-cells and those forms also closes
+    the relation under degeneracies.  A class holding a form is that
+    degenerate simplex; every other class is a new cell, numbered in
+    the sorted order of its least member.  ``classes[m][k]`` lists the
+    nondegenerate members of the new cell (m, k).
     """
     cap = max((X.top_dim for X in pieces), default=-1)
     if top_dim is not None:
         cap = min(cap, top_dim)
-    uf = _UnionFind()
-    queue = [(a, b) for a, b in relations]
-    while queue:
-        a, b = queue.pop()
-        (pa, xa), (pb, xb) = a, b
-        if xa.dim != xb.dim:
-            raise ValueError("identified simplices of different dimension")
-        if not uf.union(a, b):
-            continue
-        m = xa.dim
-        for i in range(m + 1):
-            if m >= 1:
-                queue.append(((pa, pieces[pa].face(xa, i)),
-                              (pb, pieces[pb].face(xb, i))))
-            if m + 1 <= cap:
-                queue.append(((pa, degenerate(xa, i)),
-                              (pb, degenerate(xb, i))))
+    size = sum(X.n_cells(d) for X in pieces for d in range(cap + 1))
+    if size > GLUE_CAP:
+        raise ValueError(f"glue needs small pieces: {size} cells, "
+                         f"cap {GLUE_CAP}")
+    forest = _face_closure(pieces, relations)
 
-    classes: dict[int, list[list[Member]]] = {}
-    root_of: dict[Member, Member] = {}
-    for m in range(cap + 1):
-        groups: dict[Member, list[Member]] = {}
-        for p, X in enumerate(pieces):
-            for s in X.simplices(m):
-                mem = (p, s)
-                groups.setdefault(uf.find(mem), []).append(mem)
-        classes[m] = [sorted(g) for g in groups.values()]
-        classes[m].sort()
-        for g in classes[m]:
-            for mem in g:
-                root_of[mem] = g[0]
+    # member cell (p, c) -> its simplex in the glued complex
+    nf: dict[tuple[int, Cell], Simplex] = {}
 
-    new_id: dict[Member, Cell] = {}
-    counts: dict[int, int] = {}
-    degen_rep: dict[Member, Member] = {}
-    for m in range(cap + 1):
-        idx = 0
-        for g in classes[m]:
-            degs = [mem for mem in g if mem[1].is_degenerate]
-            if degs:
-                degen_rep[g[0]] = min(degs)
-            else:
-                new_id[g[0]] = (m, idx)
-                idx += 1
-        if idx:
-            counts[m] = idx
-
-    nf_cache: dict[Member, Simplex] = {}
-
-    def nf(mem: Member) -> Simplex:
-        """Canonical form, in the glued complex, of a member simplex."""
+    def node(mem: Member):
+        # a degenerate member is keyed by its form, which sorts first
         p, s = mem
-        if s.word:
-            base_nf = nf((p, Simplex((), s.base)))
-            return degenerate_word(base_nf, s.word)
-        root = root_of[mem]
-        if root in nf_cache:
-            return nf_cache[root]
-        if root in new_id:
-            out = nondeg(*new_id[root])
-        else:
-            q, t = degen_rep[root]
-            out = degenerate_word(nf((q, Simplex((), t.base))), t.word)
-        nf_cache[root] = out
-        return out
+        if not s.word:
+            return (p, s.base)
+        return (-1, degenerate_word(nf[(p, s.base)], s.word))
 
-    faces, labels = {}, {}
+    counts, faces, labels = {}, {}, {}
+    classes: dict[int, list[list[Member]]] = {}
     for m in range(cap + 1):
-        for g in classes[m]:
-            root = g[0]
-            if root not in new_id:
-                continue
-            cell = new_id[root]
-            p, s = root
-            for q, t in g:
-                if not t.word and t.base in pieces[q].labels:
-                    labels[cell] = pieces[q].labels[t.base]
+        uf = _UnionFind()
+        for a, b in forest.get(m, ()):
+            ra, rb = uf.find(node(a)), uf.find(node(b))
+            if ra != rb and ra[0] < 0 and rb[0] < 0:
+                raise ValueError(f"glue merged two degenerate forms "
+                                 f"{ra[1]} and {rb[1]} in dimension {m}")
+            uf.union(ra, rb)
+        # a root is its class's least node, so the first member met of
+        # each class is its root and the groups come out sorted
+        groups: dict[tuple, list[tuple[int, Cell]]] = {}
+        for p, X in enumerate(pieces):
+            for c in X.cells(m):
+                root = uf.find((p, c))
+                if root[0] < 0:
+                    nf[(p, c)] = root[1]
+                else:
+                    groups.setdefault(root, []).append((p, c))
+        classes[m] = []
+        for k, members in enumerate(groups.values()):
+            cell = (m, k)
+            classes[m].append([(p, nondeg(*c)) for p, c in members])
+            for mem in members:
+                nf[mem] = nondeg(*cell)
+            for p, c in members:
+                if c in pieces[p].labels:
+                    labels[cell] = pieces[p].labels[c]
                     break
             if m >= 1:
-                faces[cell] = tuple(nf((p, pieces[p].face(s, i)))
-                                    for i in range(m + 1))
+                p, c = members[0]
+                faces[cell] = tuple(degenerate_word(nf[(p, f.base)], f.word)
+                                    for f in pieces[p].faces[c])
+        if groups:
+            counts[m] = len(groups)
 
     out = SimplicialSet(counts, faces, labels)
     maps = []
     for p, X in enumerate(pieces):
-        data = {c: nf((p, nondeg(*c))) for c in X.all_cells() if c[0] <= cap}
+        data = {c: nf[(p, c)] for c in X.all_cells() if c[0] <= cap}
         maps.append(SimplicialMap(X, out, data, check=False))
     return GlueResult(out, maps, classes)
 
@@ -347,24 +414,27 @@ def quotient_by_key(X: SimplicialSet, key_fn,
     ``key_fn(simplex) -> hashable``.  After closure, every class must
     still be key-homogeneous; if face or degeneracy propagation merged
     two differently-keyed simplices the relation was not simplicial and
-    a ValueError is raised.
+    a ValueError is raised.  A simplex's class is its image in the
+    quotient, so the check keys every simplex up to the cap by it.
     """
     cap = X.top_dim if top_dim is None else min(X.top_dim, top_dim)
-    rels = []
+    rels, keyed = [], []
     for m in range(cap + 1):
         by_key: dict[object, Simplex] = {}
         for s in X.simplices(m):
             k = key_fn(s)
+            keyed.append((s, k))
             if k in by_key:
                 rels.append(((0, by_key[k]), (0, s)))
             else:
                 by_key[k] = s
     res = glue([X], rels, top_dim=cap)
-    for m, groups in res.classes.items():
-        for g in groups:
-            keys = {key_fn(s) for _, s in g}
-            if len(keys) > 1:
-                raise ValueError(
-                    f"key relation is not a simplicial congruence: dimension {m} "
-                    f"class mixes keys {sorted(map(repr, keys))[:4]}")
+    keys_of: dict[Simplex, set] = {}
+    for s, k in keyed:
+        keys_of.setdefault(res.maps[0](s), set()).add(k)
+    for img, keys in keys_of.items():
+        if len(keys) > 1:
+            raise ValueError(
+                f"key relation is not a simplicial congruence: dimension "
+                f"{img.dim} class mixes keys {sorted(map(repr, keys))[:4]}")
     return res

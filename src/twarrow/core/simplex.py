@@ -14,6 +14,7 @@ decreasing order.  Most of the calculus below exploits that.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 
@@ -60,6 +61,7 @@ def constant_simplex(vertex: tuple[int, int], d: int) -> Simplex:
     return Simplex(tuple(range(d - 1, -1, -1)), vertex)
 
 
+@functools.lru_cache(maxsize=None)
 def flag_map(word: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
     """The monotone surjection [m] ->> [base_dim] encoded by ``word``.
 
@@ -80,18 +82,45 @@ def flag_map(word: tuple[int, ...], base_dim: int) -> tuple[int, ...]:
 
 def degenerate(x: Simplex, j: int) -> Simplex:
     """Apply s_j to a simplex, renormalizing the word."""
-    if not 0 <= j <= x.dim:
-        raise ValueError(f"s_{j} undefined on a {x.dim}-simplex")
-    new = {t if t < j else t + 1 for t in x.word}
-    new.add(j)
-    return Simplex(collapses_to_word(new), x.base)
+    return degenerate_word(x, (j,))
 
 
 def degenerate_word(x: Simplex, word: tuple[int, ...]) -> Simplex:
     """Apply a degeneracy word (outermost first) on top of ``x``."""
-    for j in reversed(word):
-        x = degenerate(x, j)
-    return x
+    if not word:
+        return x
+    return Simplex(compose_words(word, x.word, x.dim), x.base)
+
+
+@functools.lru_cache(maxsize=None)
+def compose_words(outer: tuple[int, ...], inner: tuple[int, ...],
+                  dim: int) -> tuple[int, ...]:
+    """Canonical word of s_outer s_inner (y) for a dim-simplex s_inner (y)."""
+    new = set(inner)
+    for j in reversed(outer):
+        if not 0 <= j <= dim:
+            raise ValueError(f"s_{j} undefined on a {dim}-simplex")
+        new = {t if t < j else t + 1 for t in new}
+        new.add(j)
+        dim += 1
+    return collapses_to_word(new)
+
+
+@functools.lru_cache(maxsize=None)
+def face_rule(word: tuple[int, ...], i: int):
+    """How d_i acts on s_word (b), with i in range.
+
+    Returns ``(w, None)`` when a collapse at i or i-1 absorbs the face,
+    which is then s_w (b), and ``(w, k)`` when position i is a fiber of
+    its own, so the face is s_w (d_k b).
+    """
+    s = set(word)
+    if i in s or i - 1 in s:
+        s.discard(i if i in s else i - 1)
+        k = None
+    else:
+        k = i - sum(t < i for t in word)
+    return collapses_to_word({t if t < i else t - 1 for t in s}), k
 
 
 def face_stays_degenerate(x: Simplex, i: int) -> Simplex | None:
@@ -100,15 +129,8 @@ def face_stays_degenerate(x: Simplex, i: int) -> Simplex | None:
     The face misses the base exactly when position i sits in a fiber of
     the flag map of size at least two, i.e. i or i-1 is a word letter.
     """
-    s = set(x.word)
-    if i not in s and i - 1 not in s:
-        return None
-    if i in s:
-        s.remove(i)
-    else:
-        s.remove(i - 1)
-    s = {t if t < i else t - 1 for t in s}
-    return Simplex(collapses_to_word(s), x.base)
+    word, k = face_rule(x.word, i)
+    return Simplex(word, x.base) if k is None else None
 
 
 def strip_collapse(x: Simplex, j: int) -> Simplex:

@@ -301,12 +301,8 @@ def core_comparison(n: int, L: Ladder | None = None) -> SimplicialMap:
     fs = [piece_map(k) for k in range(len(wcells))]
     data = {}
     for m, groups in res.classes.items():
-        idx = 0
-        for g in groups:
-            if any(s.is_degenerate for _, s in g):
-                continue
-            k, s = g[0]
+        for idx, members in enumerate(groups):
+            k, s = members[0]
             img = fs[k](s)
             data[(m, idx)] = Simplex(img.word, of_old[img.base])
-            idx += 1
     return SimplicialMap(res.complex, core, data)

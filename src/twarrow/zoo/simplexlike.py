@@ -15,6 +15,7 @@ described through their vertex alphabets:
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 from ..core.complex import simplex_cell, standard_simplex
@@ -49,8 +50,10 @@ def q_thin_triangle(n: int, tri) -> bool:
 
 
 def q_thin_cells(n: int) -> set:
-    X = standard_simplex(2 * n + 1)
-    return {c for c in X.cells(2) if q_thin_triangle(n, X.labels[c])}
+    """The thin 2-cells of Delta^{2n+1}, whose triangles
+    ``standard_simplex`` numbers in lexicographic order."""
+    tris = itertools.combinations(range(2 * n + 2), 3)
+    return {(2, i) for i, tri in enumerate(tris) if q_thin_triangle(n, tri)}
 
 
 def q_complex(n: int) -> Decorated:
