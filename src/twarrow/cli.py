@@ -543,8 +543,8 @@ def _check_comparison_maps(cfg: SuiteConfig):
 
 
 def _check_ladder_identities(cfg: SuiteConfig):
-    for n in range(4):
-        L = ladder_complex(n)
+    ladders = [ladder_complex(n) for n in range(4)]
+    for n, L in enumerate(ladders):
         _, pdata = prism_complex(n)
         mu = prism_to_ladder(n, L, pdata)
         psi = ladder_to_prism(n, L, pdata)
@@ -555,7 +555,7 @@ def _check_ladder_identities(cfg: SuiteConfig):
         P = ladder_poset(n)
         if len(P.elements) != 6 * (n + 1):
             return False, f"ladder size is off at n={n}"
-        L = ladder_complex(n)
+        L = ladders[n]
         for c in L.space.cells(2):
             ch = L.space.labels[c]
             mirror_cell = L.cell_of_chain(
@@ -563,7 +563,7 @@ def _check_ladder_identities(cfg: SuiteConfig):
             if (c in L.dec.thin) != (mirror_cell in L.dec.thin):
                 return False, f"scaling is not bar self-dual at n={n}"
     n = 1
-    L = ladder_complex(n)
+    L = ladders[n]
     for j in range(n + 2):
         if not preserves_decoration(ladder_shift_partial(n, j, L),
                                     L.dec, L.dec):

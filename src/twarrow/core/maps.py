@@ -152,7 +152,7 @@ def face_index(X: SimplicialSet, d: int) -> dict[tuple, list[Simplex]]:
 
 def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
            injective: bool = False, memo: bool = False):
-    """Backtracking search for the maps out of A.
+    """Backtracking search for the maps out of A, with forward checking.
 
     A's cells are visited in ``sorted`` order, dimension then index, so
     the faces of a cell are assigned before the cell itself.  The
@@ -162,24 +162,44 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
     also pass ``allowed(cell, simplex)`` when that is given, and, with
     ``injective``, must not be the image of another cell.
 
+    Forward checking: ``ahead[k]`` lists the cells whose faces are all
+    assigned once position k is, the last of them at k, and that come
+    later than k + 1.  At a vertex these are the edges back to vertices
+    already assigned.  A candidate at k is dropped when the index has
+    no simplex under the key of one of those cells.  That key stays fixed
+    in the whole subtree under the candidate, so the cell would have no
+    candidate when its turn came: the check cuts only subtrees that
+    yield nothing.  It reads neither ``allowed`` nor the used images and
+    does not change the visiting order, so every map comes out in the
+    order of the plain search, and the first isomorphism stays the
+    first.
+
     Yields each complete assignment, cell to simplex, as one live dict
     that the search goes on changing: copy it to keep it.
 
     With ``memo``, a level that yields nothing is remembered by its
     position and the images of the earlier cells that later faces still
-    read, and such a subtree is not searched again.  The key ignores
-    ``injective``, so the two do not go together.
+    read, and such a subtree is not searched again.  The forward check
+    at a level reads only those images and the level's own, so it keeps
+    the memo sound.  The key ignores ``injective``, so the two do not
+    go together.
 
     The search runs on an explicit stack, so deep complexes do not hit
     the recursion limit.
     """
     cells = sorted(A.all_cells())
     n = len(cells)
-    frontier = _frontiers(A, cells) if memo else None
+    frontier, ahead = _schedule(A, cells, memo)
+    faces = A.faces
     assign: dict = {}
     used: set = set()
     dead: set = set()
     found = 0
+
+    def want(c):
+        return tuple(degenerate_word(assign[f.base], f.word)
+                     for f in faces.get(c, ()))
+
     # one frame per open level: candidates left, memo key, hits at entry
     frames: list = []
     k = 0
@@ -193,9 +213,7 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
                 key = (k, tuple(assign[c] for c in frontier[k]))
             if key is None or key not in dead:
                 c = cells[k]
-                want = tuple(degenerate_word(assign[f.base], f.word)
-                             for f in A.faces.get(c, ()))
-                cands = index[c[0]].get(want, ())
+                cands = index[c[0]].get(want(c), ())
                 if allowed is not None:
                     cands = [s for s in cands if allowed(c, s)]
                 frames.append((iter(cands), key, found))
@@ -206,8 +224,12 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             if injective and c in assign:
                 used.discard(assign[c])
             cands, key, before = frames[-1]
+            checks = ahead[k]
             for s in cands:
-                if not (injective and s in used):
+                if injective and s in used:
+                    continue
+                assign[c] = s
+                if all(index[e[0]].get(want(e)) for e in checks):
                     break
             else:
                 frames.pop()
@@ -215,7 +237,6 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
                 if memo and found == before:
                     dead.add(key)
                 continue
-            assign[c] = s
             if injective:
                 used.add(s)
             k += 1
@@ -224,17 +245,31 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             return
 
 
-def _frontiers(A: SimplicialSet, cells) -> list[tuple]:
-    """For each position k, the cells before k that faces of the cells
-    from k on use, in order."""
+def _schedule(A: SimplicialSet, cells, memo: bool):
+    """The look-ahead lists of ``search`` and, with ``memo``, its
+    frontiers, from one sweep over the faces.
+
+    ``ahead[k]`` lists, in order, the cells from k + 2 on whose last
+    face sits at position k.  ``frontier[k]`` lists, in order, the cells
+    before k that faces of the cells from k on use.
+    """
+    pos = {c: k for k, c in enumerate(cells)}
     last: dict = {}
+    ahead: list = [[] for _ in cells]
     for k, c in enumerate(cells):
-        for f in A.faces.get(c, ()):
+        fs = A.faces.get(c, ())
+        for f in fs:
             last[f.base] = k
-    out, live = [], []
+        if fs:
+            m = max(pos[f.base] for f in fs)
+            if k > m + 1:
+                ahead[m].append(c)
+    if not memo:
+        return None, ahead
+    frontier, live = [], []
     for k, c in enumerate(cells):
         live = [e for e in live if last[e] >= k]
-        out.append(tuple(live))
+        frontier.append(tuple(live))
         if last.get(c, -1) > k:
             live.append(c)
-    return out
+    return frontier, ahead

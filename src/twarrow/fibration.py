@@ -27,7 +27,7 @@ from . import DIM_CAP
 from .core.complex import (SimplicialSet, boundary_cells, horn_cells,
                            simplex_cell, standard_simplex, subcomplex)
 from .core.maps import SimplicialMap, enumerate_homs, face_index, search
-from .core.simplex import Simplex, nondeg
+from .core.simplex import Simplex, degenerate_word, nondeg
 from .decor import Decorated
 
 
@@ -53,9 +53,14 @@ class LiftingProblem:
         self.marked_cells = frozenset(self.marked_cells)
         if self.marked_cells and self.dec is None:
             raise ValueError("marked cells need a decoration to check against")
+        # p(top(a)) == bottom(incl(a)) on every cell a of A, read off
+        # the maps' data
+        top, p = self.top.data, self.p.data
+        incl, bottom = self.incl.data, self.bottom.data
         for a in self.incl.source.all_cells():
-            x = nondeg(*a)
-            if self.p(self.top(x)) != self.bottom(self.incl(x)):
+            t, i = top[a], incl[a]
+            if degenerate_word(p[t.base], t.word) != \
+                    degenerate_word(bottom[i.base], i.word):
                 raise ValueError(f"the square does not commute at {a}")
 
     def forced(self) -> dict:
@@ -159,9 +164,17 @@ def _facet_cells(incl: SimplicialMap):
 
 
 def _bottom_map(D: SimplicialSet, Y: SimplicialSet, s: Simplex) -> SimplicialMap:
-    # standard simplices label every cell by its vertex tuple
-    data = {c: Y.restrict(s, D.labels[c]) for c in D.all_cells()}
-    return SimplicialMap(D, Y, data, check=False)
+    """The map from the standard simplex D to Y sending its top cell to
+    s, built top-down from the face table: the faces of a standard
+    simplex are nondegenerate cells, and the first cell reached above
+    each one sets its image to Y's face of that cell's image."""
+    cells = list(D.all_cells())
+    img = {cells[-1]: s}
+    for c in reversed(cells):
+        for i, f in enumerate(D.faces.get(c, ())):
+            if f.base not in img:
+                img[f.base] = Y.face(img[c], i)
+    return SimplicialMap(D, Y, {c: img[c] for c in cells}, check=False)
 
 
 def _squares(p: SimplicialMap, incl: SimplicialMap):

@@ -20,9 +20,9 @@ from twarrow.zoo import q_complex, q_thin_count
 CFG = SuiteConfig()
 
 
-def run(name, budget):
+def run(name, budget, cfg=CFG):
     t0 = time.perf_counter()
-    ok, detail = CHECKS[name](CFG)
+    ok, detail = CHECKS[name](cfg)
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < budget, f"{name} took {elapsed:.1f}s"
@@ -36,6 +36,12 @@ def test_tw_matches_pair_poset_model():
 
 def test_tw_projection_is_cartesian_fibration():
     run("tw-cartesian", 300)
+
+
+def test_tw_projection_of_the_3_simplex_is_cartesian():
+    # about 0.4 s on 2 shared vCPUs
+    detail = run("tw-cartesian", 3, SuiteConfig(objects=(0, 1, 2, 3)))
+    assert detail == "simplex dimensions 0, 1, 2, 3: 760 squares lifted"
 
 
 def test_smallest_pivot_stratum_is_basal():

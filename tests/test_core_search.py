@@ -1,5 +1,4 @@
-"""The face-indexed search kernel against the scanning searches it
-replaced.
+"""The face-indexed search kernel against the searches it replaced.
 
 ``_reference_enumerate_homs``, ``_reference_find_isomorphism``,
 ``_reference_iter_lifts`` and ``_reference_squares`` are the earlier
@@ -8,6 +7,11 @@ bodies of ``enumerate_homs``, ``find_isomorphism``, ``iter_lifts`` and
 for every cell and checks the faces of each candidate.  The kernel must
 give the same maps in the same order, the same first isomorphism and
 the same lifting problems.
+
+``_reference_search`` is the kernel before forward checking: it assigns
+every vertex before any edge is tried.  Run under it, the three callers
+must give what they give under the forward-checked kernel, in the same
+order.
 """
 
 import itertools
@@ -15,17 +19,21 @@ import random
 
 import pytest
 
+from twarrow import fibration
+from twarrow.core import maps
 from twarrow.core.complex import SimplicialSet, point, standard_simplex
 from twarrow.core.maps import (SimplicialMap, enumerate_homs,
-                               find_isomorphism, map_by_vertices)
-from twarrow.core.poset import all_posets, nerve, total_order
+                               find_isomorphism, map_by_vertices,
+                               simplex_by_chain)
+from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import Simplex, degenerate_word, nondeg
 from twarrow.decor import flat, sharp
 from twarrow.fibration import (
     LiftingProblem, _bottom_map, _facet_cells, _squares, boundary_inclusion,
     cartesian_edge, cartesian_fibration, horn_inclusion, inner_fibration,
     iter_lifts, marked_supply, solve_lift, trivial_fibration)
-from twarrow.partitions import make_partition, mapping_space
+from twarrow.necklace import necklace_oracle
+from twarrow.partitions import collapse_upper, make_partition, mapping_space
 from twarrow.twisted import cone_fiber_span, twisted_arrow, tw_projection
 
 # -- the scanning searches ---------------------------------------------
@@ -159,6 +167,91 @@ def _reference_squares(p, incl, tops):
         key = tuple(p(top.data[a]) for _, a in fc)
         for s in index.get(key, []):
             yield LiftingProblem(incl, p, top, _bottom_map(D, Y, s))
+
+
+# -- the kernel before forward checking --------------------------------
+
+
+def _reference_search(A, index, allowed=None, injective=False, memo=False):
+    """The kernel as it was: the same visiting order, candidates,
+    ``allowed``, ``injective`` and memo, with no look-ahead."""
+    cells = sorted(A.all_cells())
+    n = len(cells)
+    frontier = _reference_frontiers(A, cells) if memo else None
+    assign: dict = {}
+    used: set = set()
+    dead: set = set()
+    found = 0
+    # one frame per open level: candidates left, memo key, hits at entry
+    frames: list = []
+    k = 0
+    while True:
+        if k == n:
+            found += 1
+            yield assign
+        else:
+            key = None
+            if memo:
+                key = (k, tuple(assign[c] for c in frontier[k]))
+            if key is None or key not in dead:
+                c = cells[k]
+                want = tuple(degenerate_word(assign[f.base], f.word)
+                             for f in A.faces.get(c, ()))
+                cands = index[c[0]].get(want, ())
+                if allowed is not None:
+                    cands = [s for s in cands if allowed(c, s)]
+                frames.append((iter(cands), key, found))
+        # move the deepest open level on to its next candidate
+        while frames:
+            k = len(frames) - 1
+            c = cells[k]
+            if injective and c in assign:
+                used.discard(assign[c])
+            cands, key, before = frames[-1]
+            for s in cands:
+                if not (injective and s in used):
+                    break
+            else:
+                frames.pop()
+                assign.pop(c, None)
+                if memo and found == before:
+                    dead.add(key)
+                continue
+            assign[c] = s
+            if injective:
+                used.add(s)
+            k += 1
+            break
+        else:
+            return
+
+
+def _reference_frontiers(A, cells):
+    """For each position k, the cells before k that faces of the cells
+    from k on use, in order."""
+    last: dict = {}
+    for k, c in enumerate(cells):
+        for f in A.faces.get(c, ()):
+            last[f.base] = k
+    out, live = [], []
+    for k, c in enumerate(cells):
+        live = [e for e in live if last[e] >= k]
+        out.append(tuple(live))
+        if last.get(c, -1) > k:
+            live.append(c)
+    return out
+
+
+@pytest.fixture
+def on_reference_search(monkeypatch):
+    """Call a function with the callers of the kernel switched to
+    ``_reference_search``."""
+    def call(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(maps, "search", _reference_search)
+            m.setattr(fibration, "search", _reference_search)
+            return fn(*args)
+    return call
 
 
 def _maps(fs):
@@ -377,3 +470,57 @@ def test_lift_against_a_deep_boundary():
     lift = solve_lift(prob)
     assert lift is not None and prob.is_lift(lift)
 
+
+# -- forward checking keeps the order ----------------------------------
+
+
+def _heavy_right_mode_pairs():
+    """The right-mode mapping spaces of the 5-element chain and of the
+    chain whose top two elements are incomparable, each with its
+    necklace model."""
+    chain = total_order(4)
+    fork = Poset(list(range(5)), [
+        p for p in itertools.combinations(range(5), 2) if p != (3, 4)])
+    for P in (chain, fork):
+        for r in range(1, len(P.elements)):
+            for lo in itertools.combinations(P.elements, r):
+                hi = [e for e in P.elements if e not in lo]
+                try:
+                    part = make_partition(P, lo, hi)
+                except ValueError:
+                    continue
+                col = collapse_upper(part)
+                for j in sorted(part.lower, key=str):
+                    X = mapping_space(part, "right", j=j, top_dim=2)
+                    v = col.quot(simplex_by_chain(col.quot.source, (j,))).base
+                    yield X, necklace_oracle(col.dec.space, v, col.base1)
+
+
+def test_first_isomorphism_of_heavy_right_mode_spaces_keeps_its_order(
+        on_reference_search):
+    n = 0
+    for X, M in _heavy_right_mode_pairs():
+        got = find_isomorphism(X, M)
+        ref = on_reference_search(find_isomorphism, X, M)
+        assert got is not None and got.is_isomorphism()
+        assert list(got.data.items()) == list(ref.data.items())
+        n += 1
+    assert n == 24
+
+
+def test_homs_into_tw_of_the_3_simplex_keep_their_order(on_reference_search):
+    X = _tw_space(3)
+    for name, incl in _inclusions(3):
+        A = incl.source
+        got = _maps(enumerate_homs(A, X))
+        assert got, name
+        assert got == _maps(on_reference_search(enumerate_homs, A, X)), name
+
+
+def test_memo_lifts_keep_their_order(on_reference_search):
+    n = 0
+    for prob in _fibration_test_problems():
+        got = _maps(iter_lifts(prob))
+        assert got == on_reference_search(lambda: _maps(iter_lifts(prob)))
+        n += 1
+    assert n == 478

@@ -6,6 +6,7 @@ from twarrow.core.complex import point, standard_simplex
 from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.poset import all_posets, nerve, total_order
 from twarrow.core.simplex import degenerate_word, nondeg
+from twarrow import fibration
 from twarrow.decor import flat, sharp
 from twarrow.fibration import (
     FibrationReport, LiftingProblem, boundary_inclusion, cartesian_edge,
@@ -206,3 +207,51 @@ def test_report_truthiness():
     assert not trivial_fibration(to_point(D), 1)
     assert isinstance(inner_fibration(SimplicialMap.identity(D), 2),
                       FibrationReport)
+
+
+def _restricted_bottom_map(D, Y, s):
+    """The bottom as it was built before: every cell of the standard
+    simplex D cut out of s by its vertex tuple."""
+    data = {c: Y.restrict(s, D.labels[c]) for c in D.all_cells()}
+    return SimplicialMap(D, Y, data, check=False)
+
+
+def test_bottom_maps_match_restriction_on_every_square(monkeypatch):
+    """Every square the checks above build gets the bottom that
+    restriction gives, cell by cell and in the same order."""
+    built = fibration._bottom_map
+    seen = []
+
+    def checked(D, Y, s):
+        got = built(D, Y, s)
+        ref = _restricted_bottom_map(D, Y, s)
+        assert list(got.data.items()) == list(ref.data.items())
+        seen.append(s)
+        return got
+    monkeypatch.setattr(fibration, "_bottom_map", checked)
+
+    p = map_by_vertices(nerve(total_order(2)), nerve(total_order(1)),
+                        lambda v: min(v, 1))
+    inner_fibration(p, 3)
+    for P in all_posets(3):
+        inner_fibration(to_point(nerve(P)), 3)
+    H = horn_inclusion(2, 1).source
+    inner_fibration(to_point(H), 2)
+    cartesian_edge(to_point(H), H.cell_with_label((1, 2)), 2)
+    D2 = standard_simplex(2)
+    for c in D2.cells(1):
+        cartesian_edge(SimplicialMap.identity(D2), c, 3)
+    trivial_fibration(SimplicialMap.identity(D2), 2)
+    D1 = standard_simplex(1)
+    for dec in (flat(D1), sharp(D1)):
+        marked_supply(SimplicialMap.identity(D1), dec)
+    cartesian_fibration(SimplicialMap.identity(D1), flat(D1), 2)
+    trivial_fibration(to_point(D1), 1)
+    for n in (0, 1, 2):
+        twc = twisted_arrow(sharp(standard_simplex(n)), 3)
+        f, _, _ = tw_projection(twc)
+        cartesian_fibration(f, twc.dec, 3)
+        for c in sorted(twc.dec.marked):
+            cartesian_edge(f, c, 3)
+    trivial_fibration(cone_fiber_span(sharp(D1), 1, 2).pi, 2)
+    assert len(seen) == 423
