@@ -116,7 +116,7 @@ def enumerate_homs(A: SimplicialSet, X: SimplicialSet, limit: int | None = None)
     """All simplicial maps A -> X, at most ``limit`` of them, in the
     order of the search over A's cells and X's simplices."""
     index = {d: face_index(X, d) for d in A.counts}
-    homs = (SimplicialMap(A, X, dict(assign), check=False)
+    homs = (SimplicialMap(A, X, assign, check=False)
             for assign in search(A, index))
     return list(itertools.islice(homs, limit))
 
@@ -134,7 +134,7 @@ def find_isomorphism(X: SimplicialSet, Y: SimplicialSet) -> SimplicialMap | None
     data = next(search(X, index, injective=True), None)
     if data is None:
         return None
-    return SimplicialMap(X, Y, dict(data), check=False)
+    return SimplicialMap(X, Y, data, check=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,89 +151,115 @@ def face_index(X: SimplicialSet, d: int) -> dict[tuple, list[Simplex]]:
 
 
 def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
-           injective: bool = False, memo: bool = False):
+           injective: bool = False, memo: bool = False, fixed=None):
     """Backtracking search for the maps out of A, with forward checking.
 
-    A's cells are visited in ``sorted`` order, dimension then index, so
-    the faces of a cell are assigned before the cell itself.  The
-    candidates for a cell are ``index[d][key]``, where ``key`` is the
-    tuple of the images its faces force, so every candidate commutes
-    with the faces; they are tried in list order.  A candidate must
-    also pass ``allowed(cell, simplex)`` when that is given, and, with
-    ``injective``, must not be the image of another cell.
+    ``fixed`` maps cells of A, a face-closed set of them, to images that
+    are already given.  Each is checked once, up front, as the search
+    would check it: its image must be listed under the key its faces
+    force and must pass ``allowed``.  If one fails, nothing is yielded.
+    The search then visits only the other cells, the free ones.
 
-    Forward checking: ``ahead[k]`` lists the cells whose faces are all
-    assigned once position k is, the last of them at k, and that come
-    later than k + 1.  At a vertex these are the edges back to vertices
-    already assigned.  A candidate at k is dropped when the index has
-    no simplex under the key of one of those cells.  That key stays fixed
-    in the whole subtree under the candidate, so the cell would have no
-    candidate when its turn came: the check cuts only subtrees that
-    yield nothing.  It reads neither ``allowed`` nor the used images and
-    does not change the visiting order, so every map comes out in the
-    order of the plain search, and the first isomorphism stays the
-    first.
+    The free cells are visited in ``sorted`` order, dimension then
+    index, so the faces of a cell are assigned before the cell itself.
+    The candidates for a cell are ``index[d][key]``, where ``key`` is
+    the tuple of the images its faces force, so every candidate
+    commutes with the faces; they are tried in list order.  A candidate
+    must also pass ``allowed(cell, simplex)`` when that is given, and,
+    with ``injective``, must not be the image of another cell.
 
-    Yields each complete assignment, cell to simplex, as one live dict
-    that the search goes on changing: copy it to keep it.
+    Forward checking: a free cell is checked at the level of its last
+    free face when it comes more than one level later, or up front
+    when all its faces are fixed.  A candidate is dropped when the
+    index has no simplex under the key of one of those cells.  That key
+    stays fixed in the whole subtree under the candidate, so the cell
+    would have no candidate when its turn came: the check cuts only
+    subtrees that yield nothing.  It reads neither ``allowed`` nor the
+    used images and does not change the visiting order, so every map
+    comes out in the order of the plain search, and the first
+    isomorphism stays the first.
+
+    Yields each complete assignment as a new dict, cell to simplex, in
+    sorted cell order.
 
     With ``memo``, a level that yields nothing is remembered by its
-    position and the images of the earlier cells that later faces still
-    read, and such a subtree is not searched again.  The forward check
-    at a level reads only those images and the level's own, so it keeps
-    the memo sound.  The key ignores ``injective``, so the two do not
-    go together.
+    position and the images of the earlier free cells that later faces
+    still read, and such a subtree is not searched again.  The fixed
+    images do not change within one search, so they need no place in
+    the key.  The forward check at a level reads only those images and
+    the level's own, so it keeps the memo sound.  The key ignores
+    ``injective``, so the two do not go together.
 
-    The search runs on an explicit stack, so deep complexes do not hit
-    the recursion limit.
+    The order, faces, look-ahead lists and memo frontiers are a plan
+    built once per A, set of fixed cells and ``memo``.  The search runs
+    on an explicit stack, so deep complexes do not hit the recursion
+    limit.
     """
-    cells = sorted(A.all_cells())
-    n = len(cells)
-    frontier, ahead = _schedule(A, cells, memo)
-    faces = A.faces
-    assign: dict = {}
-    used: set = set()
+    fixed = fixed or {}
+    cells, dims, faces, given, free, ahead, frontier = _plan(
+        A, frozenset(fixed), memo)
+    img: list = [None] * len(cells)
+    for p in given:
+        img[p] = fixed[cells[p]]
+
+    def want(p):
+        return tuple([degenerate_word(img[q], w) if w else img[q]
+                      for q, w in faces[p]])
+
+    def live(p):
+        return index[dims[p]].get(want(p))
+
+    # each fixed cell as the search would check it, then the free cells
+    # whose keys the fixed images alone decide
+    for p in given:
+        s = img[p]
+        if s not in index[dims[p]].get(want(p), ()) or \
+                (allowed is not None and not allowed(cells[p], s)):
+            return
+    for q in ahead[-1]:
+        if not live(q):
+            return
+    used = set(fixed.values()) if injective else set()
+    if injective and len(used) < len(fixed):
+        return
+    n = len(free)
     dead: set = set()
     found = 0
-
-    def want(c):
-        return tuple(degenerate_word(assign[f.base], f.word)
-                     for f in faces.get(c, ()))
-
     # one frame per open level: candidates left, memo key, hits at entry
     frames: list = []
     k = 0
     while True:
         if k == n:
             found += 1
-            yield assign
+            yield dict(zip(cells, img))
         else:
             key = None
             if memo:
-                key = (k, tuple(assign[c] for c in frontier[k]))
+                key = (k, tuple(img[q] for q in frontier[k]))
             if key is None or key not in dead:
-                c = cells[k]
-                cands = index[c[0]].get(want(c), ())
+                p = free[k]
+                cands = index[dims[p]].get(want(p), ())
                 if allowed is not None:
+                    c = cells[p]
                     cands = [s for s in cands if allowed(c, s)]
                 frames.append((iter(cands), key, found))
         # move the deepest open level on to its next candidate
         while frames:
             k = len(frames) - 1
-            c = cells[k]
-            if injective and c in assign:
-                used.discard(assign[c])
+            p = free[k]
+            if injective and img[p] is not None:
+                used.discard(img[p])
             cands, key, before = frames[-1]
             checks = ahead[k]
             for s in cands:
                 if injective and s in used:
                     continue
-                assign[c] = s
-                if all(index[e[0]].get(want(e)) for e in checks):
+                img[p] = s
+                if all(live(q) for q in checks):
                     break
             else:
                 frames.pop()
-                assign.pop(c, None)
+                img[p] = None
                 if memo and found == before:
                     dead.add(key)
                 continue
@@ -245,31 +271,52 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             return
 
 
-def _schedule(A: SimplicialSet, cells, memo: bool):
-    """The look-ahead lists of ``search`` and, with ``memo``, its
-    frontiers, from one sweep over the faces.
+@functools.lru_cache(maxsize=4)
+def _plan(A: SimplicialSet, fixed: frozenset, memo: bool):
+    """The plan of ``search`` for A with the cells ``fixed`` given,
+    everything as positions in ``sorted`` cell order.  The last few
+    plans are kept and shared, so the squares against one inclusion
+    build theirs once.
 
-    ``ahead[k]`` lists, in order, the cells from k + 2 on whose last
-    face sits at position k.  ``frontier[k]`` lists, in order, the cells
-    before k that faces of the cells from k on use.
+    ``cells[p]``, ``dims[p]`` and ``faces[p]``, pairs (position, word),
+    describe the cell at p.  ``given`` lists the positions of the fixed
+    cells and ``free`` the others, one per level of the search.
+    ``ahead[k]`` lists, in order, the free cells from level k + 2 on
+    whose last free face sits at level k; ``ahead[-1]`` lists those
+    from level 1 on whose faces are all fixed.  With ``memo``,
+    ``frontier[k]`` lists, in order, the free cells before level k that
+    faces of the free cells from k on use; otherwise it is None.
     """
-    pos = {c: k for k, c in enumerate(cells)}
-    last: dict = {}
-    ahead: list = [[] for _ in cells]
-    for k, c in enumerate(cells):
-        fs = A.faces.get(c, ())
-        for f in fs:
-            last[f.base] = k
-        if fs:
-            m = max(pos[f.base] for f in fs)
+    cells = tuple(sorted(A.all_cells()))
+    pos = {c: p for p, c in enumerate(cells)}
+    if not fixed <= pos.keys():
+        raise ValueError(f"fixed cells {sorted(fixed - pos.keys())} "
+                         f"are not cells of the source")
+    faces = tuple([tuple([(pos[b], w) for w, b in A.faces.get(c, ())])
+                   for c in cells])
+    given = tuple(sorted(pos[c] for c in fixed))
+    free = tuple([p for p, c in enumerate(cells) if c not in fixed])
+    level = [-1] * len(cells)
+    for k, p in enumerate(free):
+        level[p] = k
+    for p in given:
+        if any(level[q] >= 0 for q, _ in faces[p]):
+            raise ValueError(f"fixed cell {cells[p]} has a face that is "
+                             f"not fixed")
+    ahead: list = [[] for _ in range(len(free) + 1)]
+    for k, p in enumerate(free):
+        if faces[p]:
+            m = max([level[q] for q, _ in faces[p]])
             if k > m + 1:
-                ahead[m].append(c)
-    if not memo:
-        return None, ahead
-    frontier, live = [], []
-    for k, c in enumerate(cells):
-        live = [e for e in live if last[e] >= k]
-        frontier.append(tuple(live))
-        if last.get(c, -1) > k:
-            live.append(c)
-    return frontier, ahead
+                ahead[m].append(p)
+    frontier = None
+    if memo:
+        last = {q: k for k, p in enumerate(free) for q, _ in faces[p]}
+        frontier, live = [], []
+        for k, p in enumerate(free):
+            live = [q for q in live if last[q] >= k]
+            frontier.append(tuple(live))
+            if last.get(p, -1) > k:
+                live.append(p)
+    dims = tuple(c[0] for c in cells)
+    return cells, dims, faces, given, free, ahead, frontier

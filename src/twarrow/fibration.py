@@ -53,6 +53,14 @@ class LiftingProblem:
         self.marked_cells = frozenset(self.marked_cells)
         if self.marked_cells and self.dec is None:
             raise ValueError("marked cells need a decoration to check against")
+        # the left leg is an inclusion: distinct nondegenerate images,
+        # which the search takes as fixed cells of B
+        for a, s in self.incl.data.items():
+            if s.word:
+                raise ValueError(f"the left leg sends {a} to a degenerate "
+                                 f"simplex")
+        if len(set(self.incl.data.values())) < len(self.incl.data):
+            raise ValueError("the left leg sends two cells to one")
         # p(top(a)) == bottom(incl(a)) on every cell a of A, read off
         # the maps' data
         top, p = self.top.data, self.p.data
@@ -65,11 +73,8 @@ class LiftingProblem:
 
     def forced(self) -> dict:
         """Images of B-cells already determined by the top map."""
-        out = {}
-        for a, s in self.incl.data.items():
-            assert not s.word, "the left leg must be an inclusion"
-            out[s.base] = self.top.data[a]
-        return out
+        top = self.top.data
+        return {s.base: top[a] for a, s in self.incl.data.items()}
 
     def is_lift(self, f: SimplicialMap) -> bool:
         if f.source is not self.incl.target or f.target is not self.p.source:
@@ -84,28 +89,27 @@ class LiftingProblem:
 def iter_lifts(prob: LiftingProblem):
     """All lifts of the square, by backtracking in cell order.
 
-    Cells of B are filled in by dimension then index; the candidates
-    for a cell are the simplices of X whose faces are the images already
-    chosen (looked up in X's face index), that lie over the cell's
-    bottom image, that equal the top map's image where it has one, and
-    that are marked where the problem demands it.  Exhausted subtrees
-    are remembered by the part of the assignment later cells can still
-    see, so the search does not redo them.
+    The cells of B the top map fixes are checked once, up front.  The
+    search then fills in only the other cells, by dimension then index:
+    for a horn square the missing face and the top cell, for a boundary
+    square the top cell alone.  Every image, fixed or found, must have
+    the images of its faces as faces (looked up in X's face index), lie
+    over the cell's bottom image and be marked where the problem
+    demands it.  Exhausted subtrees are remembered by the part of the
+    assignment later cells can still see, so the search does not redo
+    them.
     """
     B, X = prob.incl.target, prob.p.source
-    forced = prob.forced()
     bottom = prob.bottom.data
 
     def allowed(c, s):
-        if c in forced and s != forced[c]:
-            return False
         if prob.p(s) != bottom[c]:
             return False
         return c not in prob.marked_cells or prob.dec.is_marked(s)
 
     index = {d: face_index(X, d) for d in B.counts}
-    for assign in search(B, index, allowed, memo=True):
-        yield SimplicialMap(B, X, dict(assign), check=False)
+    for assign in search(B, index, allowed, memo=True, fixed=prob.forced()):
+        yield SimplicialMap(B, X, assign, check=False)
 
 
 def solve_lift(prob: LiftingProblem) -> SimplicialMap | None:

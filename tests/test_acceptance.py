@@ -44,6 +44,18 @@ def test_tw_projection_of_the_3_simplex_is_cartesian():
     assert detail == "simplex dimensions 0, 1, 2, 3: 760 squares lifted"
 
 
+def test_tw_projection_of_the_4_simplex_is_cartesian():
+    # about 0.7 s on 2 shared vCPUs
+    detail = run("tw-cartesian", 2, SuiteConfig(objects=(4,)))
+    assert detail == "simplex dimensions 4: 1680 squares lifted"
+
+
+def test_tw_projection_of_the_3_simplex_is_cartesian_at_depth_4():
+    # about 0.9 s on 2 shared vCPUs
+    detail = run("tw-cartesian", 3, SuiteConfig(objects=(3,), dim_cap=4))
+    assert detail == "simplex dimensions 3: 1548 squares lifted"
+
+
 def test_smallest_pivot_stratum_is_basal():
     detail = run("kappa-strata", 60)
     assert "1256" in detail

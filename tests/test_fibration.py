@@ -71,6 +71,53 @@ def test_non_commuting_square_rejected():
                        SimplicialMap.identity(D))
 
 
+def test_left_leg_must_be_an_inclusion():
+    D = standard_simplex(1)
+    ident = SimplicialMap.identity(D)
+    ends = boundary_inclusion(1).source
+    glued = SimplicialMap(ends, D, {(0, 0): nondeg(0, 0),
+                                    (0, 1): nondeg(0, 0)}, check=False)
+    with pytest.raises(ValueError, match="two cells to one"):
+        LiftingProblem(glued, ident, glued, ident)
+    P = point()
+    squash = SimplicialMap(D, P, {(0, 0): nondeg(0, 0), (0, 1): nondeg(0, 0),
+                                  (1, 0): degenerate_word(nondeg(0, 0), (0,))},
+                           check=False)
+    with pytest.raises(ValueError, match="degenerate"):
+        LiftingProblem(squash, to_point(D), ident, to_point(P))
+
+
+def test_non_simplicial_top_has_no_lift():
+    # vertex 1 goes to vertex 0, the edges around it to the edges of the
+    # 2-simplex through vertex 1: the rest of the square has a filler
+    D = standard_simplex(2)
+    incl = horn_inclusion(2, 1)
+    H = incl.source
+    data = {}
+    for c in H.all_cells():
+        lab = H.labels[c]
+        data[c] = (nondeg(0, 0) if lab == (1,)
+                   else nondeg(*D.cell_with_label(lab)))
+    top = SimplicialMap(H, D, data, check=False)
+    with pytest.raises(ValueError):
+        top.validate()
+    prob = LiftingProblem(incl, to_point(D), top, to_point(D))
+    assert solve_lift(prob) is None
+
+
+def test_fixed_cell_with_unmarked_image_has_no_lift():
+    D = standard_simplex(2)
+    incl = horn_inclusion(2, 2)
+    last = D.cell_with_label((1, 2))
+    ident = SimplicialMap.identity(D)
+    free = LiftingProblem(incl, ident, incl, ident)
+    assert solve_lift(free) is not None
+    for dec, lifts in ((sharp(D), 1), (flat(D), 0)):
+        prob = LiftingProblem(incl, ident, incl, ident,
+                              marked_cells={last}, dec=dec)
+        assert len(list(iter_lifts(prob))) == lifts
+
+
 def exhaustive_lifts(prob):
     """Reference enumeration: try every assignment of the free cells."""
     B, X = prob.incl.target, prob.p.source
