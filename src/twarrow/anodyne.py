@@ -213,16 +213,16 @@ def _hypothesis_witness(dec: Decorated, vertices, pivot, Z):
 
 
 def pivot_certificate(dec: Decorated, family, *, vertices=None,
-                      pivot=None, basal=None) -> Certificate:
+                      pivot=None) -> Certificate:
     """Fill the facet union into the whole simplex through one pivot.
 
     ``vertices`` picks the face of the ambient to work in, as a chain of
-    vertex labels; family members, the pivot, and the basal set are
-    positions within that chain.  When ``pivot`` or ``basal`` is left
-    out, admissible pivots are scanned in ascending order and basal sets
-    in lexicographic order, and the first pair passing the thinness
-    hypothesis wins.  Raises CertificateError, with a witness triangle,
-    when no pair passes.
+    vertex labels; family members, the pivot, and the basal sets are
+    positions within that chain.  When ``pivot`` is left out, admissible
+    pivots are scanned in ascending order.  For each pivot, basal sets
+    are scanned in lexicographic order, and the first pair passing the
+    thinness hypothesis wins.  Raises CertificateError, with a witness
+    triangle, when no pair passes.
     """
     space = dec.space
     vertices = _face_vertices(space, vertices)
@@ -235,12 +235,7 @@ def pivot_certificate(dec: Decorated, family, *, vertices=None,
             raise CertificateError(
                 f"pivot {pivot} is not admissible, admissible ones: {pivots}")
         pivots = [pivot]
-    if basal is not None:
-        basals = [tuple(sorted(basal))]
-        if basals[0] not in basal_sets(family):
-            raise CertificateError(f"{basal} is not a basal set")
-    else:
-        basals = basal_sets(family)
+    basals = basal_sets(family)
     chosen = first_witness = None
     for i in pivots:
         for Z in basals:

@@ -61,6 +61,7 @@ from .core.io import (
     decode_label,
     dot_skeleton,
     encode_label,
+    reader,
 )
 from .core.maps import (
     SimplicialMap,
@@ -143,6 +144,7 @@ def decorated_to_json(dec: Decorated) -> dict:
     return obj
 
 
+@reader("complex")
 def decorated_from_json(obj: dict) -> Decorated:
     """Inverse of decorated_to_json; missing decoration keys mean flat."""
     X = complex_from_json(obj)
@@ -169,11 +171,9 @@ def map_to_json(f: SimplicialMap, src_dec: Decorated | None = None,
     return {"source": src, "target": tgt, "data": _map_data_json(f.data)}
 
 
+@reader("map")
 def map_from_json(obj: dict):
     """A validated map plus the decorations stored with its endpoints."""
-    for key in ("source", "target", "data"):
-        if key not in obj:
-            raise ValueError(f"map document lacks the {key!r} entry")
     src = decorated_from_json(obj["source"])
     tgt = decorated_from_json(obj["target"])
     data = {}
@@ -192,6 +192,7 @@ def poset_to_json(P: Poset) -> dict:
             "leq": [list(p) for p in leq]}
 
 
+@reader("poset")
 def poset_from_json(obj: dict) -> Poset:
     elems = [decode_label(e) for e in obj["elements"]]
     pairs = [(elems[a], elems[b]) for a, b in obj["leq"]]

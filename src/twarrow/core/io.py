@@ -13,6 +13,7 @@ trip exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .complex import SimplicialSet
@@ -40,6 +41,27 @@ def decode_label(obj):
     raise TypeError(f"cannot decode label {obj!r}")
 
 
+def reader(what: str):
+    """Decorate the reader of a JSON document so that a document of the
+    wrong shape (not an object, an entry missing or of the wrong type)
+    fails with a ValueError that names the problem."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def read(obj):
+            if not isinstance(obj, dict):
+                raise ValueError(f"a {what} document is a JSON object, "
+                                 f"not {type(obj).__name__}")
+            try:
+                return fn(obj)
+            except KeyError as e:
+                raise ValueError(f"{what} document lacks the "
+                                 f"{e.args[0]!r} entry") from None
+            except (AttributeError, IndexError, TypeError) as e:
+                raise ValueError(f"malformed {what} document: {e}") from None
+        return read
+    return wrap
+
+
 def complex_to_json(X: SimplicialSet) -> dict:
     simplices = {}
     for d in sorted(X.counts):
@@ -56,6 +78,7 @@ def complex_to_json(X: SimplicialSet) -> dict:
     return out
 
 
+@reader("complex")
 def complex_from_json(obj: dict) -> SimplicialSet:
     counts, faces, labels = {}, {}, {}
     for dstr, entry in obj["simplices"].items():

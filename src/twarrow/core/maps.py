@@ -151,7 +151,7 @@ def face_index(X: SimplicialSet, d: int) -> dict[tuple, list[Simplex]]:
 
 
 def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
-           injective: bool = False, memo: bool = False, fixed=None):
+           injective: bool = False, fixed=None):
     """Backtracking search for the maps out of A, with forward checking.
 
     ``fixed`` maps cells of A, a face-closed set of them, to images that
@@ -182,22 +182,12 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
     Yields each complete assignment as a new dict, cell to simplex, in
     sorted cell order.
 
-    With ``memo``, a level that yields nothing is remembered by its
-    position and the images of the earlier free cells that later faces
-    still read, and such a subtree is not searched again.  The fixed
-    images do not change within one search, so they need no place in
-    the key.  The forward check at a level reads only those images and
-    the level's own, so it keeps the memo sound.  The key ignores
-    ``injective``, so the two do not go together.
-
-    The order, faces, look-ahead lists and memo frontiers are a plan
-    built once per A, set of fixed cells and ``memo``.  The search runs
-    on an explicit stack, so deep complexes do not hit the recursion
-    limit.
+    The order, faces and look-ahead lists are a plan built once per A
+    and set of fixed cells.  The search runs on an explicit stack, so
+    deep complexes do not hit the recursion limit.
     """
     fixed = fixed or {}
-    cells, dims, faces, given, free, ahead, frontier = _plan(
-        A, frozenset(fixed), memo)
+    cells, dims, faces, given, free, ahead = _plan(A, frozenset(fixed))
     img: list = [None] * len(cells)
     for p in given:
         img[p] = fixed[cells[p]]
@@ -223,35 +213,27 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
     if injective and len(used) < len(fixed):
         return
     n = len(free)
-    dead: set = set()
-    found = 0
-    # one frame per open level: candidates left, memo key, hits at entry
+    # one iterator of candidates left per open level
     frames: list = []
     k = 0
     while True:
         if k == n:
-            found += 1
             yield dict(zip(cells, img))
         else:
-            key = None
-            if memo:
-                key = (k, tuple(img[q] for q in frontier[k]))
-            if key is None or key not in dead:
-                p = free[k]
-                cands = index[dims[p]].get(want(p), ())
-                if allowed is not None:
-                    c = cells[p]
-                    cands = [s for s in cands if allowed(c, s)]
-                frames.append((iter(cands), key, found))
+            p = free[k]
+            cands = index[dims[p]].get(want(p), ())
+            if allowed is not None:
+                c = cells[p]
+                cands = [s for s in cands if allowed(c, s)]
+            frames.append(iter(cands))
         # move the deepest open level on to its next candidate
         while frames:
             k = len(frames) - 1
             p = free[k]
             if injective and img[p] is not None:
                 used.discard(img[p])
-            cands, key, before = frames[-1]
             checks = ahead[k]
-            for s in cands:
+            for s in frames[-1]:
                 if injective and s in used:
                     continue
                 img[p] = s
@@ -260,8 +242,6 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             else:
                 frames.pop()
                 img[p] = None
-                if memo and found == before:
-                    dead.add(key)
                 continue
             if injective:
                 used.add(s)
@@ -272,7 +252,7 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
 
 
 @functools.lru_cache(maxsize=4)
-def _plan(A: SimplicialSet, fixed: frozenset, memo: bool):
+def _plan(A: SimplicialSet, fixed: frozenset):
     """The plan of ``search`` for A with the cells ``fixed`` given,
     everything as positions in ``sorted`` cell order.  The last few
     plans are kept and shared, so the squares against one inclusion
@@ -283,9 +263,7 @@ def _plan(A: SimplicialSet, fixed: frozenset, memo: bool):
     cells and ``free`` the others, one per level of the search.
     ``ahead[k]`` lists, in order, the free cells from level k + 2 on
     whose last free face sits at level k; ``ahead[-1]`` lists those
-    from level 1 on whose faces are all fixed.  With ``memo``,
-    ``frontier[k]`` lists, in order, the free cells before level k that
-    faces of the free cells from k on use; otherwise it is None.
+    from level 1 on whose faces are all fixed.
     """
     cells = tuple(sorted(A.all_cells()))
     pos = {c: p for p, c in enumerate(cells)}
@@ -309,14 +287,5 @@ def _plan(A: SimplicialSet, fixed: frozenset, memo: bool):
             m = max([level[q] for q, _ in faces[p]])
             if k > m + 1:
                 ahead[m].append(p)
-    frontier = None
-    if memo:
-        last = {q: k for k, p in enumerate(free) for q, _ in faces[p]}
-        frontier, live = [], []
-        for k, p in enumerate(free):
-            live = [q for q in live if last[q] >= k]
-            frontier.append(tuple(live))
-            if last.get(p, -1) > k:
-                live.append(p)
     dims = tuple(c[0] for c in cells)
-    return cells, dims, faces, given, free, ahead, frontier
+    return cells, dims, faces, given, free, ahead

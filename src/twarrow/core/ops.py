@@ -220,6 +220,8 @@ def join(X: SimplicialSet, Y: SimplicialSet,
         if m == 0:
             continue
         a = cx[0] if cx is not None else -1
+        # faces k <= a cut into X's part; the others, which exist only
+        # when cy is a cell, cut into Y's
         row = []
         for k in range(m + 1):
             if k <= a:
@@ -228,21 +230,12 @@ def join(X: SimplicialSet, Y: SimplicialSet,
                 else:
                     f = X.faces[cx][k]
                     row.append(Simplex(f.word, index[(f.base, cy)]))
+            elif cy[0] == 0:
+                row.append(Simplex((), index[(cx, None)]))
             else:
-                j = k - a - 1
-                b = cy[0] if cy is not None else -1
-                if cy is None:
-                    f = X.faces[cx][k]
-                    row.append(Simplex(f.word, index[(f.base, None)]))
-                elif cx is None:
-                    f = Y.faces[cy][k]
-                    row.append(Simplex(f.word, index[(None, f.base)]))
-                elif b == 0:
-                    row.append(Simplex((), index[(cx, None)]))
-                else:
-                    f = Y.faces[cy][j]
-                    word = tuple(w + a + 1 for w in f.word)
-                    row.append(Simplex(word, index[(cx, f.base)]))
+                f = Y.faces[cy][k - a - 1]
+                word = tuple(w + a + 1 for w in f.word)
+                row.append(Simplex(word, index[(cx, f.base)]))
         faces[(m, i)] = tuple(row)
 
     return JoinData(SimplicialSet(counts, faces, labels), parts, index)

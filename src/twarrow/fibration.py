@@ -15,8 +15,9 @@ over squares whose final edge is the edge under test, which is how the
 "final edge marked" reading of the right horn is operationalized.  The
 supply clause of a Cartesian fibration asks for a marked lift of every
 base edge under each vertex over its target; that constraint is carried
-on the lifting problem itself (``marked_cells``) so failed reports stay
-re-checkable by ``solve_lift``.
+on the lifting problem itself (``marked_cells``), and ``solve_lift``
+decides each such square as it decides every horn and boundary square,
+so a failed report is re-checkable by construction.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ def iter_lifts(prob: LiftingProblem):
     square the top cell alone.  Every image, fixed or found, must have
     the images of its faces as faces (looked up in X's face index), lie
     over the cell's bottom image and be marked where the problem
-    demands it.  Exhausted subtrees are remembered by the part of the
-    assignment later cells can still see, so the search does not redo
-    them.
+    demands it.
     """
     B, X = prob.incl.target, prob.p.source
     bottom = prob.bottom.data
@@ -108,7 +107,7 @@ def iter_lifts(prob: LiftingProblem):
         return c not in prob.marked_cells or prob.dec.is_marked(s)
 
     index = {d: face_index(X, d) for d in B.counts}
-    for assign in search(B, index, allowed, memo=True, fixed=prob.forced()):
+    for assign in search(B, index, allowed, fixed=prob.forced()):
         yield SimplicialMap(B, X, assign, check=False)
 
 
@@ -278,11 +277,13 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     """A marked edge over every base edge, ending at every vertex over
     the base edge's target.
 
+    Each pair of a nondegenerate base edge and a vertex over its target
+    is one square against the inclusion of the final vertex of Delta^1,
+    with the edge required marked, and ``solve_lift`` decides it.
     Degenerate base edges always have the degenerate marked lift, so
     only nondegenerate ones are enumerated.
     """
     X, Y = p.source, p.target
-    edges = [s for s in X.simplices(1) if not s.is_degenerate]
     squares = 0
     for ce in sorted(Y.cells(1)):
         ey = nondeg(*ce)
@@ -292,13 +293,11 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
             if p(x) != vy:
                 continue
             squares += 1
-            if any(p(s) == ey and X.face(s, 0) == x and dec.is_marked(s)
-                   for s in edges):
-                continue
             prob = _supply_problem(p, dec, ey, x)
-            return FibrationReport(
-                "marked-supply", 1, False, prob, squares,
-                f"no marked edge over {ce} ending at {cx}")
+            if solve_lift(prob) is None:
+                return FibrationReport(
+                    "marked-supply", 1, False, prob, squares,
+                    f"no marked edge over {ce} ending at {cx}")
     return FibrationReport("marked-supply", 1, True, None, squares)
 
 

@@ -284,13 +284,11 @@ class ConeFiberSpan:
     pi: SimplicialMap
 
 
-def cone_fiber_span(src: Decorated, y, max_dim: int,
-                    twc: WitnessComplex | None = None) -> ConeFiberSpan:
+def cone_fiber_span(src: Decorated, y, max_dim: int) -> ConeFiberSpan:
     C = src.space
     cone = cone_fiber_complex(src, y, max_dim)
     outer = slice_outer(src, y, max_dim)
-    if twc is None:
-        twc = twisted_arrow(src, max_dim)
+    twc = twisted_arrow(src, max_dim)
     fiber, incl = tw_fiber(twc, y=y)
     back = {s.base: c for c, s in incl.data.items()}
 

@@ -135,22 +135,12 @@ def ladder_vertex_to_prism(n: int, u):
     return (mirror(n, ell), 0 if e == "aa" else 1)
 
 
-def prism_to_ladder(n: int, L: Ladder | None = None,
-                    prism: ProductData | None = None) -> SimplicialMap:
-    if L is None:
-        L = ladder_complex(n)
-    if prism is None:
-        _, prism = prism_complex(n)
+def prism_to_ladder(n: int, L: Ladder, prism: ProductData) -> SimplicialMap:
     return map_by_vertices(prism.complex, L.space,
                            lambda lab: prism_vertex_to_ladder(n, lab))
 
 
-def ladder_to_prism(n: int, L: Ladder | None = None,
-                    prism: ProductData | None = None) -> SimplicialMap:
-    if L is None:
-        L = ladder_complex(n)
-    if prism is None:
-        _, prism = prism_complex(n)
+def ladder_to_prism(n: int, L: Ladder, prism: ProductData) -> SimplicialMap:
     return map_by_vertices(L.space, prism.complex,
                            lambda u: ladder_vertex_to_prism(n, u))
 

@@ -137,6 +137,38 @@ def test_tw_build_sharp_default(tmp_path):
     assert "penwidth" in dot.read_text()
 
 
+def _malformed_complexes():
+    seg = complex_to_json(standard_simplex(1))
+    bad_label = json.loads(json.dumps(seg))
+    bad_label["labels"]["0:0"] = {"x": 1}
+    bad_base = json.loads(json.dumps(seg))
+    bad_base["simplices"]["1"]["faces"][0][0][1] = "a"
+    no_faces = json.loads(json.dumps(seg))
+    del no_faces["simplices"]["1"]["faces"]
+    return [pytest.param(bad_label, "cannot decode label", id="label"),
+            pytest.param(bad_base, "malformed complex document", id="base"),
+            pytest.param(no_faces, "lacks the 'faces' entry", id="faces"),
+            pytest.param([seg], "JSON object, not list", id="list")]
+
+
+@pytest.mark.parametrize("doc, message", _malformed_complexes())
+def test_tw_build_rejects_a_malformed_complex(tmp_path, capsys, doc,
+                                              message):
+    src = write(tmp_path / "bad.json", doc)
+    assert main(["tw", "build", "--complex", src]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_rejects_map_data_that_is_not_a_list(tmp_path, capsys):
+    f = map_by_vertices(standard_simplex(1), standard_simplex(0),
+                        lambda v: 0)
+    doc = map_to_json(f)
+    doc["data"]["0:0"] = 5
+    m = write(tmp_path / "map.json", doc)
+    assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 2
+    assert "malformed map document" in capsys.readouterr().err
+
+
 def test_tw_fiber_cli(tmp_path):
     src = write(tmp_path / "seg.json",
                 complex_to_json(standard_simplex(1)))

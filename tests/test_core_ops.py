@@ -95,6 +95,31 @@ def test_glue_collapse_edge_of_triangle():
     res.maps[0].validate()
 
 
+def _triangle_with_collapsed_edge():
+    T, pt = standard_simplex(2), point()
+    edge = nondeg(*simplex_cell(2, (1, 2)))
+    return glue([T, pt], [((0, edge), (1, degenerate(nondeg(0, 0), 0)))]) \
+        .complex
+
+
+def test_join_with_a_degenerate_face():
+    # Q has a face that is a degenerate simplex, so the faces of its
+    # joins shift degeneracy words past the other factor
+    Q = _triangle_with_collapsed_edge()
+    D0, D1 = standard_simplex(0), standard_simplex(1)
+    cases = [
+        (Q, D1, {0: 4, 1: 7, 2: 7, 3: 4, 4: 1}),
+        (D1, Q, {0: 4, 1: 7, 2: 7, 3: 4, 4: 1}),
+        (Q, Q, {0: 4, 1: 8, 2: 10, 3: 8, 4: 4, 5: 1}),
+        (Q, D0, {0: 3, 1: 4, 2: 3, 3: 1}),
+        (D0, Q, {0: 3, 1: 4, 2: 3, 3: 1}),
+    ]
+    for X, Y, counts in cases:
+        J = join(X, Y).complex
+        J.validate()
+        assert J.counts == counts
+
+
 def test_quotient_by_vertex_classes_gives_nerve_of_quotient():
     # collapsing {1,2} in [2] leaves just an interval
     T = standard_simplex(2)

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from twarrow import DIM_CAP
 from twarrow.core import maps
 from twarrow.core.complex import SimplicialSet, point, standard_simplex
 from twarrow.core.maps import (SimplicialMap, enumerate_homs,
@@ -32,9 +33,9 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import Simplex, degenerate_word, nondeg
 from twarrow.decor import flat, sharp
 from twarrow.fibration import (
-    LiftingProblem, _bottom_map, _facet_cells, _squares, boundary_inclusion,
-    cartesian_edge, cartesian_fibration, horn_inclusion, inner_fibration,
-    iter_lifts, marked_supply, solve_lift, trivial_fibration)
+    LiftingProblem, _bottom_map, _facet_cells, _squares, _supply_problem,
+    boundary_inclusion, cartesian_edge, cartesian_fibration, horn_inclusion,
+    inner_fibration, iter_lifts, marked_supply, solve_lift, trivial_fibration)
 from twarrow.necklace import necklace_oracle
 from twarrow.partitions import collapse_upper, make_partition, mapping_space
 from twarrow.twisted import cone_fiber_span, twisted_arrow, tw_projection
@@ -177,7 +178,8 @@ def _reference_squares(p, incl, tops):
 
 def _reference_search(A, index, allowed=None, injective=False, memo=False):
     """The kernel as it was: the same visiting order, candidates,
-    ``allowed``, ``injective`` and memo, with no look-ahead."""
+    ``allowed`` and ``injective``, with no look-ahead, and with the
+    dead-subtree memo the kernel has since dropped."""
     cells = sorted(A.all_cells())
     n = len(cells)
     frontier = _reference_frontiers(A, cells) if memo else None
@@ -489,6 +491,22 @@ def test_lift_against_a_deep_boundary():
                           to_point(incl.source), to_point(incl.target))
     lift = solve_lift(prob)
     assert lift is not None and prob.is_lift(lift)
+
+
+def test_lifting_plans_leave_at_most_two_free_cells():
+    """Every inclusion the fibration checks lift against leaves the
+    search two free cells or fewer once the top map fixes its image, so
+    a failed level is never met again under the same images."""
+    D = standard_simplex(1)
+    supply = _supply_problem(SimplicialMap.identity(D), sharp(D),
+                             nondeg(1, 0), nondeg(0, 1)).incl
+    incls = [horn_inclusion(n, i)
+             for n in range(1, DIM_CAP + 1) for i in range(n + 1)]
+    incls += [boundary_inclusion(n) for n in range(DIM_CAP + 1)]
+    for incl in incls + [supply]:
+        fixed = frozenset(s.base for s in incl.data.values())
+        _, _, _, _, free, _ = maps._plan(incl.target, fixed)
+        assert len(free) <= 2, incl.source
 
 
 def test_fixed_cells_must_be_closed_under_faces():

@@ -7,7 +7,7 @@ from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.poset import all_posets, nerve, total_order
 from twarrow.core.simplex import degenerate_word, nondeg
 from twarrow import fibration
-from twarrow.decor import flat, sharp
+from twarrow.decor import Decorated, flat, sharp
 from twarrow.fibration import (
     FibrationReport, LiftingProblem, boundary_inclusion, cartesian_edge,
     cartesian_fibration, horn_inclusion, inner_fibration, iter_lifts,
@@ -256,6 +256,70 @@ def test_report_truthiness():
                       FibrationReport)
 
 
+def _reference_supply(p, dec):
+    """``marked_supply`` as it was: each square decided by a scan of X's
+    nondegenerate edges, its lifting problem built only on a failure."""
+    X, Y = p.source, p.target
+    edges = [s for s in X.simplices(1) if not s.is_degenerate]
+    squares = 0
+    for ce in sorted(Y.cells(1)):
+        ey = nondeg(*ce)
+        vy = Y.face(ey, 0)
+        for cx in sorted(X.cells(0)):
+            x = nondeg(*cx)
+            if p(x) != vy:
+                continue
+            squares += 1
+            if any(p(s) == ey and X.face(s, 0) == x and dec.is_marked(s)
+                   for s in edges):
+                continue
+            prob = fibration._supply_problem(p, dec, ey, x)
+            return FibrationReport(
+                "marked-supply", 1, False, prob, squares,
+                f"no marked edge over {ce} ending at {cx}")
+    return FibrationReport("marked-supply", 1, True, None, squares)
+
+
+def _report_data(rep):
+    prob = rep.counterexample
+    square = None if prob is None else (
+        list(prob.top.data.items()), list(prob.bottom.data.items()),
+        sorted(prob.marked_cells))
+    return rep.prop, rep.max_dim, rep.ok, rep.squares, rep.detail, square
+
+
+def _supply_cases():
+    """(p, decoration, whether supply holds)."""
+    for n in (0, 1, 2):
+        twc = twisted_arrow(sharp(standard_simplex(n)), 3)
+        f, _, _ = tw_projection(twc)
+        yield f, twc.dec, True
+        if n:
+            # without its last marked edge the supply fails part way
+            last = max(twc.dec.marked)
+            yield f, Decorated(twc.dec.space, twc.dec.thin,
+                               twc.dec.marked - {last}), False
+    D = standard_simplex(1)
+    yield SimplicialMap.identity(D), sharp(D), True
+    yield SimplicialMap.identity(D), flat(D), False
+
+
+def test_supply_verdicts_match_the_edge_scan(monkeypatch):
+    for p, dec, ok in _supply_cases():
+        got = marked_supply(p, dec)
+        ref = _reference_supply(p, dec)
+        assert got.ok == ok
+        assert _report_data(got) == _report_data(ref)
+        if not ok:
+            assert solve_lift(got.counterexample) is None
+        cart = cartesian_fibration(p, dec, 3)
+        with monkeypatch.context() as m:
+            m.setattr(fibration, "marked_supply", _reference_supply)
+            assert _report_data(cart) == \
+                _report_data(cartesian_fibration(p, dec, 3))
+        assert cart.ok == ok
+
+
 def _restricted_bottom_map(D, Y, s):
     """The bottom as it was built before: every cell of the standard
     simplex D cut out of s by its vertex tuple."""
@@ -301,4 +365,4 @@ def test_bottom_maps_match_restriction_on_every_square(monkeypatch):
         for c in sorted(twc.dec.marked):
             cartesian_edge(f, c, 3)
     trivial_fibration(cone_fiber_span(sharp(D1), 1, 2).pi, 2)
-    assert len(seen) == 423
+    assert len(seen) == 435
