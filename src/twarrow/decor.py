@@ -7,12 +7,13 @@ count as thin resp. marked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
-from .core.complex import SimplicialSet
-from .core.maps import SimplicialMap, to_point
-from .core.ops import GlueResult, pushout
-from .core.simplex import Simplex, nondeg
+from .core.complex import SimplicialSet, point
+from .core.maps import SimplicialMap
+from .core.ops import GlueResult, glue
+from .core.simplex import Simplex, constant_simplex, flag_map, nondeg
 
 
 @dataclass
@@ -20,6 +21,9 @@ class Decorated:
     space: SimplicialSet
     thin: frozenset = frozenset()
     marked: frozenset = frozenset()
+    # base cell -> the vertex triples of it that span a non-thin triangle
+    _nonthin: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.thin = frozenset(self.thin)
@@ -35,6 +39,28 @@ class Decorated:
         if s.dim != 2:
             raise ValueError("thinness is about 2-simplices")
         return s.is_degenerate or s.base in self.thin
+
+    def thin_on(self, x: Simplex, triples) -> bool:
+        """Whether every triangle of x spanned by one of the ascending
+        position ``triples`` is thin.
+
+        A triple that does not reach three distinct vertices of x's base
+        cell under its flag map spans a degenerate, hence thin,
+        triangle.  Any other triple spans a face of the base cell, which
+        is thin unless its vertex triple is one of the base cell's
+        non-thin ones; those are found once per base cell and kept.
+        """
+        bad = self._nonthin.get(x.base)
+        if bad is None:
+            b = nondeg(*x.base)
+            bad = self._nonthin[x.base] = frozenset(
+                t for t in itertools.combinations(range(x.base[0] + 1), 3)
+                if not self.is_thin(self.space.restrict(b, t)))
+        if not bad:
+            return True
+        f = flag_map(x.word, x.base[0])
+        # a triple with a repeated vertex is never listed in bad
+        return not any((f[i], f[j], f[k]) in bad for i, j, k in triples)
 
     def is_marked(self, s: Simplex) -> bool:
         if s.dim != 1:
@@ -86,16 +112,21 @@ def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:
     return Decorated(Q, thin, marked)
 
 
-def collapse_to_point(inc: SimplicialMap,
+def collapse_to_point(incs: list[SimplicialMap],
                       dec: Decorated) -> tuple[GlueResult, Decorated]:
-    """Crush the image of ``inc`` in ``dec.space`` to a point.
+    """Crush the image of each inclusion in ``incs`` to a point of its
+    own, all in one gluing.
 
-    Returns the pushout, whose pieces are [point, dec.space], and the
-    decoration pushed onto it.
+    Returns the gluing, whose pieces are [point, ..., point, dec.space]
+    with the k-th point the image of ``incs[k]``, and the decoration
+    pushed onto it.  Images that meet land on one point.
     """
-    to_pt = to_point(inc.source)
-    res = pushout(to_pt, inc)
-    return res, push_decoration(res, [flat(to_pt.target), dec])
+    last = len(incs)
+    rels = [((k, constant_simplex((0, 0), c[0])), (last, inc.data[c]))
+            for k, inc in enumerate(incs) for c in inc.source.all_cells()]
+    pts = [point() for _ in incs]
+    res = glue(pts + [dec.space], rels)
+    return res, push_decoration(res, [flat(P) for P in pts] + [dec])
 
 
 def op_decoration(dec: Decorated, Xop: SimplicialSet) -> Decorated:

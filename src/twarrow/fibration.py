@@ -279,11 +279,13 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
 
     Each pair of a nondegenerate base edge and a vertex over its target
     is one square against the inclusion of the final vertex of Delta^1,
-    with the edge required marked, and ``solve_lift`` decides it.
+    with the edge required marked, and ``solve_lift`` decides it.  The
+    squares share one inclusion, so the search plans it once.
     Degenerate base edges always have the degenerate marked lift, so
     only nondegenerate ones are enumerated.
     """
     X, Y = p.source, p.target
+    incl = _supply_inclusion()
     squares = 0
     for ce in sorted(Y.cells(1)):
         ey = nondeg(*ce)
@@ -293,7 +295,7 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
             if p(x) != vy:
                 continue
             squares += 1
-            prob = _supply_problem(p, dec, ey, x)
+            prob = _supply_problem(p, dec, ey, x, incl)
             if solve_lift(prob) is None:
                 return FibrationReport(
                     "marked-supply", 1, False, prob, squares,
@@ -301,13 +303,19 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     return FibrationReport("marked-supply", 1, True, None, squares)
 
 
-def _supply_problem(p: SimplicialMap, dec: Decorated,
-                    ey: Simplex, x: Simplex) -> LiftingProblem:
+def _supply_inclusion() -> SimplicialMap:
+    """The final vertex of Delta^1."""
     D = standard_simplex(1)
     A, data = subcomplex(D, {simplex_cell(1, (1,))})
-    incl = SimplicialMap(A, D, data, check=False)
-    top = SimplicialMap(A, p.source, {(0, 0): x}, check=False)
-    return LiftingProblem(incl, p, top, _bottom_map(D, p.target, ey),
+    return SimplicialMap(A, D, data, check=False)
+
+
+def _supply_problem(p: SimplicialMap, dec: Decorated, ey: Simplex,
+                    x: Simplex, incl: SimplicialMap | None = None) -> LiftingProblem:
+    if incl is None:
+        incl = _supply_inclusion()
+    top = SimplicialMap(incl.source, p.source, {(0, 0): x}, check=False)
+    return LiftingProblem(incl, p, top, _bottom_map(incl.target, p.target, ey),
                           marked_cells=frozenset({(1, 0)}), dec=dec)
 
 

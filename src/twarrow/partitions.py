@@ -31,7 +31,7 @@ from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
 from .core.ops import GlueResult, quotient_by_key
 from .core.poset import Poset, nerve, total_order
-from .core.simplex import Simplex, nondeg
+from .core.simplex import Simplex, flag_map, nondeg
 from .decor import Decorated, collapse_to_point, flat
 from .zoo import boxplus_complex, join_parts, q_complex, square_complex, star_complex
 
@@ -223,15 +223,23 @@ def congruence_quotient(part: OrderedPartition, side: str, j=None,
                         top_dim: int | None = None) -> tuple[GlueResult, SimplicialSet]:
     """Quotient of the chain-poset nerve by equality of truncations.
 
-    The key relation must be a simplicial congruence; quotient_by_key
-    re-checks that on the closed classes and raises if propagation ever
-    merges differently keyed simplices.
+    The key of a simplex is the truncation of its flag.  It is computed
+    once per nondegenerate cell, from the cell's chain: a degeneracy
+    s_w(b) has b's flag with repeats, and the same first set, so its key
+    is b's key read along the flag map of w.  The key relation must be
+    a simplicial congruence; quotient_by_key re-checks that on the
+    closed classes and raises if propagation ever merges differently
+    keyed simplices.
     """
     P = chain_poset(part) if j is None else chain_poset_at(part, j)
     N = nerve(P, top_dim=top_dim)
+    keys = {c: truncate_chain(part, N.labels[c], side) for c in N.all_cells()}
 
     def key(s: Simplex):
-        return truncate_chain(part, simplex_flag(N, s), side)
+        k = keys[s.base]
+        if not s.word:
+            return k
+        return tuple(k[v] for v in flag_map(s.word, s.base[0]))
 
     return quotient_by_key(N, key, top_dim=top_dim), N
 
@@ -272,24 +280,30 @@ def _part_nerve(part: OrderedPartition, dec: Decorated | None) -> Decorated:
     return dec
 
 
+def _part_inclusion(part: OrderedPartition, dec: Decorated, elems) -> SimplicialMap:
+    """The nerve of the part on ``elems``, included in ``dec.space``."""
+    A = nerve(part.poset.subposet(elems))
+    return map_by_vertices(A, dec.space, lambda e: e)
+
+
 def collapse_upper(part: OrderedPartition, dec: Decorated | None = None) -> Collapse:
     """The nerve with the upper part crushed to a point."""
     dec = _part_nerve(part, dec)
-    A = nerve(part.poset.subposet(part.upper))
-    res, qdec = collapse_to_point(map_by_vertices(A, dec.space, lambda e: e), dec)
+    res, qdec = collapse_to_point([_part_inclusion(part, dec, part.upper)], dec)
     base1 = res.maps[0](nondeg(0, 0)).base
     return Collapse(qdec, res.maps[1], None, base1)
 
 
 def collapse_both(part: OrderedPartition, dec: Decorated | None = None) -> Collapse:
-    """The nerve with both parts crushed, one point each."""
-    first = collapse_upper(part, dec)
-    A = nerve(part.poset.subposet(part.lower))
-    inc = first.quot.compose(map_by_vertices(A, first.quot.source, lambda e: e))
-    res, qdec = collapse_to_point(inc, first.dec)
+    """The nerve with both parts crushed, one point each, in one gluing:
+    the lower part's point comes first, then the upper part's, then the
+    cells of the nerve that neither part contains, in their order."""
+    dec = _part_nerve(part, dec)
+    res, qdec = collapse_to_point([_part_inclusion(part, dec, part.lower),
+                                   _part_inclusion(part, dec, part.upper)], dec)
     base0 = res.maps[0](nondeg(0, 0)).base
-    base1 = res.maps[1](nondeg(*first.base1)).base
-    return Collapse(qdec, res.maps[1].compose(first.quot), base0, base1)
+    base1 = res.maps[1](nondeg(0, 0)).base
+    return Collapse(qdec, res.maps[2], base0, base1)
 
 
 # -- the derived marking on chain-poset edges --------------------------
@@ -311,12 +325,11 @@ def marked_chain_edge(part: OrderedPartition, col: Collapse, S, T) -> bool:
     """
     if not S <= T:
         raise ValueError("not an inclusion of chain elements")
-    X, Q = col.quot.source, col.dec.space
+    X = col.quot.source
     for seg in segments(sorted_chain(part.poset, T), S):
         img = col.quot(simplex_by_chain(X, seg))
-        for tri in itertools.combinations(range(img.dim + 1), 3):
-            if not col.dec.is_thin(Q.restrict(img, tri)):
-                return False
+        if not col.dec.thin_on(img, itertools.combinations(range(img.dim + 1), 3)):
+            return False
     return True
 
 

@@ -90,7 +90,7 @@ def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,
                 continue
             if extra_ok is not None and not extra_ok(n, x):
                 continue
-            if all(src.is_thin(space.restrict(x, t)) for t in triples):
+            if src.thin_on(x, triples):
                 found.append(x)
         found.sort()
         if found:
@@ -110,10 +110,9 @@ def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,
                 out.normalize(space.face_many(x, ps), n - 1)
                 for ps in F.face_positions(n))
     built = SimplicialSet(counts, faces, labels)
-    marked = frozenset(
-        c for c in built.cells(1)
-        if all(src.is_thin(space.restrict(witness[c], t))
-               for t in itertools.combinations(range(F.width(1) + 1), 3)))
+    edge_triples = list(itertools.combinations(range(F.width(1) + 1), 3))
+    marked = frozenset(c for c in built.cells(1)
+                       if src.thin_on(witness[c], edge_triples))
     out.dec = Decorated(built, marked=marked)
     return out
 
@@ -313,7 +312,7 @@ def _collapse_tail(dec: Decorated, first: int):
     the positions from ``first`` up to a point."""
     A = standard_simplex(dec.space.top_dim - first)
     inc = map_by_vertices(A, dec.space, lambda v: v + first)
-    res, qdec = collapse_to_point(inc, dec)
+    res, qdec = collapse_to_point([inc], dec)
     return qdec, res.maps[1]
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from twarrow.core import maps
 from twarrow.core.complex import point, standard_simplex
 from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.poset import all_posets, nerve, total_order
@@ -206,6 +207,16 @@ def test_marked_supply_flat_interval_fails():
     assert not rep.ok
     assert solve_lift(rep.counterexample) is None
     assert marked_supply(p, sharp(D)).ok
+
+
+def test_marked_supply_plans_its_squares_once():
+    twc = twisted_arrow(sharp(standard_simplex(2)), 3)
+    f, _, _ = tw_projection(twc)
+    maps._plan.cache_clear()
+    rep = marked_supply(f, twc.dec)
+    assert rep.ok and rep.squares == 9
+    info = maps._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
 
 
 def test_cartesian_fibration_flat_projection_fails_supply():

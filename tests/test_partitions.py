@@ -5,9 +5,14 @@ import itertools
 import pytest
 
 from twarrow.core.complex import standard_simplex
-from twarrow.core.maps import find_isomorphism, simplex_by_chain
+from twarrow.core.maps import (find_isomorphism, map_by_vertices,
+                               simplex_by_chain, to_point)
+from twarrow.core.ops import pushout, quotient_by_key
 from twarrow.core.poset import Poset, all_posets, nerve, total_order
+from twarrow.core.simplex import nondeg
+from twarrow.decor import flat, push_decoration
 from twarrow.partitions import (
+    Collapse,
     boxplus_partition,
     chain_poset,
     chain_poset_at,
@@ -19,7 +24,9 @@ from twarrow.partitions import (
     marked_chain_edge,
     marked_chain_edges,
     q_partition,
+    segments,
     simplex_flag,
+    sorted_chain,
     square_partition,
     star_partition,
     truncate,
@@ -274,3 +281,118 @@ def test_marking_needs_thin_interior():
     # without the scaling the wide edge fails, the short one survives
     assert not marked_chain_edge(part, col, F({0, 2}), F({0, 1, 2}))
     assert marked_chain_edge(part, col, F({0, 1}), F({0, 1, 2}))
+
+
+# -- the constructions against the bodies they replaced ----------------
+
+
+def _corpus_partitions():
+    """Every ordered partition of every poset on one to five points."""
+    for size in range(1, 6):
+        for P in all_posets(size):
+            yield from _valid_partitions(P)
+
+
+def _compendium_partitions():
+    return [f(n) for n in (0, 1, 2) for f in (
+        q_partition, star_partition, boxplus_partition, square_partition)]
+
+
+def _reference_congruence_quotient(part, side, j=None, top_dim=None):
+    """``congruence_quotient`` as it was: every simplex keyed by the
+    truncation of its full flag."""
+    P = chain_poset(part) if j is None else chain_poset_at(part, j)
+    N = nerve(P, top_dim=top_dim)
+    res = quotient_by_key(
+        N, lambda s: truncate_chain(part, simplex_flag(N, s), side),
+        top_dim=top_dim)
+    return res, N
+
+
+def test_cell_keyed_quotients_match_the_flag_keyed_ones():
+    n = 0
+    for part in _corpus_partitions():
+        runs = [("A", None), ("L", None)] + [("R", j) for j in part.lower]
+        for side, j in runs:
+            res, N = congruence_quotient(part, side, j=j, top_dim=2)
+            ref, M = _reference_congruence_quotient(part, side, j=j, top_dim=2)
+            assert N.counts == M.counts and N.labels == M.labels
+            assert res.complex.counts == ref.complex.counts
+            assert res.complex.faces == ref.complex.faces
+            assert res.complex.labels == ref.complex.labels
+            assert res.maps[0].data == ref.maps[0].data
+            assert res.classes == ref.classes
+            n += 1
+    assert n == 3364
+
+
+def _reference_collapse_to_point(inc, dec):
+    to_pt = to_point(inc.source)
+    res = pushout(to_pt, inc)
+    return res, push_decoration(res, [flat(to_pt.target), dec])
+
+
+def _reference_collapse_upper(part, dec=None):
+    """``collapse_upper`` as it was, one pushout onto a point."""
+    dec = flat(nerve(part.poset)) if dec is None else dec
+    A = nerve(part.poset.subposet(part.upper))
+    res, qdec = _reference_collapse_to_point(
+        map_by_vertices(A, dec.space, lambda e: e), dec)
+    return Collapse(qdec, res.maps[1], None, res.maps[0](nondeg(0, 0)).base)
+
+
+def _reference_collapse_both(part, dec=None):
+    """``collapse_both`` as it was: the upper collapse, then a second
+    pushout crushing the lower part of its quotient."""
+    first = _reference_collapse_upper(part, dec)
+    A = nerve(part.poset.subposet(part.lower))
+    inc = first.quot.compose(map_by_vertices(A, first.quot.source, lambda e: e))
+    res, qdec = _reference_collapse_to_point(inc, first.dec)
+    base0 = res.maps[0](nondeg(0, 0)).base
+    base1 = res.maps[1](nondeg(*first.base1)).base
+    return Collapse(qdec, res.maps[1].compose(first.quot), base0, base1)
+
+
+def _assert_same_collapse(col, ref):
+    Q, R = col.dec.space, ref.dec.space
+    assert (Q.counts, Q.faces, Q.labels) == (R.counts, R.faces, R.labels)
+    assert col.dec.thin == ref.dec.thin and col.dec.marked == ref.dec.marked
+    assert col.quot.data == ref.quot.data
+    assert (col.base0, col.base1) == (ref.base0, ref.base1)
+
+
+def test_one_glue_collapses_match_the_pushout_ones():
+    cases = [(part, None) for part in _corpus_partitions()]
+    cases += [(dp.part, dp.dec) for dp in _compendium_partitions()]
+    n = 0
+    for part, dec in cases:
+        _assert_same_collapse(collapse_upper(part, dec),
+                              _reference_collapse_upper(part, dec))
+        _assert_same_collapse(collapse_both(part, dec),
+                              _reference_collapse_both(part, dec))
+        n += 2
+    assert n == 1552
+
+
+def _reference_marked_chain_edge(part, col, S, T):
+    """``marked_chain_edge`` as it was: every triangle of each piece
+    restricted out and looked up on its own."""
+    X, Q = col.quot.source, col.dec.space
+    for seg in segments(sorted_chain(part.poset, T), S):
+        img = col.quot(simplex_by_chain(X, seg))
+        for tri in itertools.combinations(range(img.dim + 1), 3):
+            if not col.dec.is_thin(Q.restrict(img, tri)):
+                return False
+    return True
+
+
+def test_marked_chain_edges_match_the_restrictions():
+    n = 0
+    for dp in _compendium_partitions():
+        col = collapse_both(dp.part, dp.dec)
+        P = chain_poset(dp.part)
+        ref = {(S, T) for S in P.elements for T in P.elements if S < T and
+               _reference_marked_chain_edge(dp.part, col, S, T)}
+        assert marked_chain_edges(dp) == ref
+        n += len(ref)
+    assert n == 1172

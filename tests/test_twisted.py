@@ -4,18 +4,18 @@ import itertools
 
 import pytest
 
-from twarrow import DIM_CAP
-from twarrow.core.complex import standard_simplex
-from twarrow.core.maps import SimplicialMap, map_by_vertices
+from twarrow import DIM_CAP, twisted
+from twarrow.core.complex import SimplicialSet, simplex_cell, standard_simplex
+from twarrow.core.maps import SimplicialMap, map_by_vertices, unwrap_label
 from twarrow.core.ops import opposite
 from twarrow.core.poset import Poset, all_posets, nerve
 from twarrow.core.simplex import Simplex, nondeg
-from twarrow.decor import preserves_decoration, sharp
+from twarrow.decor import Decorated, flat, preserves_decoration, sharp
 from twarrow.twisted import (
-    cone_fiber_complex, cone_fiber_span, retraction_pair, slice_outer,
-    slice_projection, tw_comparison, tw_fiber, tw_functor, tw_poset,
-    tw_projection, twisted_arrow)
-from twarrow.zoo import q_complex
+    WitnessComplex, cone_fiber_complex, cone_fiber_span, retraction_pair,
+    slice_outer, slice_projection, tw_comparison, tw_fiber, tw_functor,
+    tw_poset, tw_projection, twisted_arrow)
+from twarrow.zoo import boxplus_complex, q_complex, star_complex
 
 
 def chain(n):
@@ -188,3 +188,90 @@ def test_retraction_pair_scaled_and_split():
 def test_tw_dimension_cap():
     with pytest.raises(ValueError):
         twisted_arrow(sharp(standard_simplex(0)), DIM_CAP + 1)
+
+
+# -- thin triples read off base cells ----------------------------------
+
+
+def _reference_build(F, label, src, max_dim, extra_ok=None):
+    """``twisted._build`` as it was: each thin triple of each witness
+    restricted to a triangle and looked up on its own."""
+    space = src.space
+    counts, faces, labels = {}, {}, {}
+    witness, cell_of = {}, {}
+    for n in range(max_dim + 1):
+        triples = F.thin_triples(n)
+        found = []
+        for x in space.simplices(F.width(n)):
+            if twisted._collapse_index(F, x, n) is not None:
+                continue
+            if extra_ok is not None and not extra_ok(n, x):
+                continue
+            if all(src.is_thin(space.restrict(x, t)) for t in triples):
+                found.append(x)
+        found.sort()
+        if found:
+            counts[n] = len(found)
+        for i, x in enumerate(found):
+            witness[(n, i)] = x
+            cell_of[x] = (n, i)
+            labels[(n, i)] = label(
+                tuple(map(unwrap_label, space.vertex_labels(x))), n)
+    if len(set(labels.values())) < len(labels):
+        labels = {}
+    out = WitnessComplex(Decorated(SimplicialSet(counts, {}, labels)),
+                         src, max_dim, witness, cell_of, F)
+    for (n, i), x in witness.items():
+        if n >= 1:
+            faces[(n, i)] = tuple(
+                out.normalize(space.face_many(x, ps), n - 1)
+                for ps in F.face_positions(n))
+    built = SimplicialSet(counts, faces, labels)
+    marked = frozenset(
+        c for c in built.cells(1)
+        if all(src.is_thin(space.restrict(witness[c], t))
+               for t in itertools.combinations(range(F.width(1) + 1), 3)))
+    out.dec = Decorated(built, marked=marked)
+    return out
+
+
+def _thin_corpus():
+    """Sharp and flat nerves of the posets on one to four points, the
+    q, star and boxplus complexes for n = 0, 1, and a 3-simplex with two
+    of its four triangles thin."""
+    for P in (P for n in (1, 2, 3, 4) for P in all_posets(n)):
+        yield sharp(nerve(P))
+        yield flat(nerve(P))
+    for n in (0, 1):
+        yield q_complex(n)
+        yield star_complex(n)
+        yield boxplus_complex(n)
+    D = standard_simplex(3)
+    yield Decorated(D, thin={simplex_cell(3, (0, 1, 2)),
+                             simplex_cell(3, (1, 2, 3))})
+
+
+def _witness_data(wc):
+    X = wc.space
+    return (list(wc.witness.items()), X.counts, X.faces, X.labels,
+            wc.dec.thin, wc.dec.marked)
+
+
+def test_thin_triples_per_base_cell_match_the_restrictions(monkeypatch):
+    # twisted_arrow and the outer slice at every vertex, each cell and
+    # its witness in order
+    def builds(src):
+        yield lambda: twisted_arrow(src, 3)
+        for c in src.space.cells(0):
+            y = unwrap_label(src.space.labels[c])
+            yield lambda y=y: slice_outer(src, y, 3)
+
+    n = 0
+    for src in _thin_corpus():
+        for make in builds(src):
+            got = _witness_data(make())
+            with monkeypatch.context() as m:
+                m.setattr(twisted, "_build", _reference_build)
+                assert got == _witness_data(make())
+            n += 1
+    assert n == 246
