@@ -23,6 +23,7 @@ so a failed report is re-checkable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import DIM_CAP
 from .core.complex import (SimplicialSet, boundary_cells, horn_cells,
@@ -285,7 +286,6 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     only nondegenerate ones are enumerated.
     """
     X, Y = p.source, p.target
-    incl = _supply_inclusion()
     squares = 0
     for ce in sorted(Y.cells(1)):
         ey = nondeg(*ce)
@@ -295,7 +295,7 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
             if p(x) != vy:
                 continue
             squares += 1
-            prob = _supply_problem(p, dec, ey, x, incl)
+            prob = _supply_problem(p, dec, ey, x)
             if solve_lift(prob) is None:
                 return FibrationReport(
                     "marked-supply", 1, False, prob, squares,
@@ -303,17 +303,18 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     return FibrationReport("marked-supply", 1, True, None, squares)
 
 
+@lru_cache(maxsize=None)
 def _supply_inclusion() -> SimplicialMap:
-    """The final vertex of Delta^1."""
+    """The final vertex of Delta^1, built once so that every supply
+    square shares its search plan."""
     D = standard_simplex(1)
     A, data = subcomplex(D, {simplex_cell(1, (1,))})
     return SimplicialMap(A, D, data, check=False)
 
 
-def _supply_problem(p: SimplicialMap, dec: Decorated, ey: Simplex,
-                    x: Simplex, incl: SimplicialMap | None = None) -> LiftingProblem:
-    if incl is None:
-        incl = _supply_inclusion()
+def _supply_problem(p: SimplicialMap, dec: Decorated,
+                    ey: Simplex, x: Simplex) -> LiftingProblem:
+    incl = _supply_inclusion()
     top = SimplicialMap(incl.source, p.source, {(0, 0): x}, check=False)
     return LiftingProblem(incl, p, top, _bottom_map(incl.target, p.target, ey),
                           marked_cells=frozenset({(1, 0)}), dec=dec)

@@ -34,8 +34,10 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
-from twarrow.partitions import collapse_both, collapse_upper, make_partition
+from twarrow.partitions import collapse_both, collapse_upper
 from twarrow.zoo import mirror_join_object, realize
+
+from _corpus import valid_partitions
 
 # -- the bodies the kernels replaced -----------------------------------
 
@@ -291,17 +293,6 @@ def _clear_package_caches():
         fn.cache_clear()
 
 
-def _partitions_of_five():
-    for P in all_posets(5):
-        for r in range(1, 5):
-            for lo in itertools.combinations(P.elements, r):
-                hi = [e for e in P.elements if e not in lo]
-                try:
-                    yield make_partition(P, lo, hi)
-                except ValueError:
-                    continue
-
-
 def test_every_suite_gluing_and_product_matches_the_reference(monkeypatch):
     # the quotients and pushouts call glue through the module global, so
     # one recorder sees realize, pushout, quotient_by_key and the rest
@@ -312,9 +303,10 @@ def test_every_suite_gluing_and_product_matches_the_reference(monkeypatch):
         ok, detail = check(cfg)
         assert ok, (name, detail)
     # and every one- and two-point crush of a five-point partition
-    for part in _partitions_of_five():
-        collapse_upper(part)
-        collapse_both(part)
+    for P in all_posets(5):
+        for part in valid_partitions(P):
+            collapse_upper(part)
+            collapse_both(part)
     _clear_package_caches()
     kinds = {"glue": 0, "product": 0}
     for name, args, kw, res in calls:

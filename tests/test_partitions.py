@@ -33,6 +33,8 @@ from twarrow.partitions import (
     truncate_chain,
 )
 
+from _corpus import valid_partitions
+
 F = frozenset
 
 
@@ -65,14 +67,8 @@ def test_opposite_partition_is_valid():
 
 def test_all_valid_partitions_have_valid_opposites():
     for P in all_posets(3):
-        for r in range(1, len(P.elements)):
-            for lo in itertools.combinations(P.elements, r):
-                hi = [e for e in P.elements if e not in lo]
-                try:
-                    part = make_partition(P, lo, hi)
-                except ValueError:
-                    continue
-                part.opposite()
+        for part in valid_partitions(P):
+            part.opposite()
 
 
 # -- chain posets ------------------------------------------------------
@@ -137,20 +133,10 @@ def test_truncate_simplices():
     assert simplex_flag(N, t) == (F({0, 2}), F({0, 1, 2}))
 
 
-def _valid_partitions(P):
-    for r in range(1, len(P.elements)):
-        for lo in itertools.combinations(P.elements, r):
-            hi = [e for e in P.elements if e not in lo]
-            try:
-                yield make_partition(P, lo, hi)
-            except ValueError:
-                continue
-
-
 def test_truncation_idempotent_and_commuting():
     for size in (2, 3, 4):
         for P in all_posets(size):
-            for part in _valid_partitions(P):
+            for part in valid_partitions(P):
                 C = chain_poset(part)
                 flags = [(S,) for S in C.elements]
                 flags += [c for c in C.chains(2)] + [c for c in C.chains(3)]
@@ -290,7 +276,7 @@ def _corpus_partitions():
     """Every ordered partition of every poset on one to five points."""
     for size in range(1, 6):
         for P in all_posets(size):
-            yield from _valid_partitions(P)
+            yield from valid_partitions(P)
 
 
 def _compendium_partitions():
