@@ -23,9 +23,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass
@@ -80,7 +78,8 @@ from .fibration import (
     trivial_fibration,
 )
 from .necklace import necklace_oracle
-from .partitions import collapse_both, collapse_upper, make_partition, mapping_space
+from .partitions import (check_poset_size, collapse_both, collapse_upper,
+                         make_partition, mapping_space, ordered_partitions)
 from .posetmaps import MAP_NAMES, named_map
 from .twisted import (
     cone_fiber_span,
@@ -109,6 +108,7 @@ from .zoo import (
     q_core_extended_cells,
     q_diamond,
     q_thin_cells,
+    q_thin_count,
     square_complex,
     star_complex,
     summand_cells,
@@ -339,18 +339,19 @@ def _check_tw_oracle(cfg: SuiteConfig):
     seen = 0
     for size in range(1, 5):
         for P in all_posets(size):
-            twc = twisted_arrow(sharp(nerve(P)), cfg.dim_cap)
+            N = nerve(P)
+            twc = twisted_arrow(sharp(N), cfg.dim_cap)
             comp = tw_comparison(P, twc)
             if not comp.is_isomorphism():
                 return False, f"comparison fails on a poset of size {size}"
             f, pdata, _ = tw_projection(twc)
             first = pdata.pr1.compose(f.compose(comp))
             if first.data != map_by_vertices(
-                    comp.source, nerve(P), lambda e: e[0]).data:
+                    comp.source, N, lambda e: e[0]).data:
                 return False, f"source projection drifts at size {size}"
             second = pdata.pr2.compose(f.compose(comp))
             if second.data != map_by_vertices(
-                    comp.source, opposite(nerve(P)), lambda e: e[1]).data:
+                    comp.source, opposite(N), lambda e: e[1]).data:
                 return False, f"target projection drifts at size {size}"
             seen += 1
     return True, f"{seen} posets matched at depth {cfg.dim_cap}"
@@ -463,30 +464,25 @@ def _check_mapping_spaces(cfg: SuiteConfig):
     runs = 0
     for size in range(1, 5):
         for P in all_posets(size):
-            for r in range(1, size):
-                for lo in itertools.combinations(P.elements, r):
-                    hi = [e for e in P.elements if e not in lo]
-                    try:
-                        part = make_partition(P, lo, hi)
-                    except ValueError:
-                        continue
-                    X = mapping_space(part, "two_sided", top_dim=2)
-                    col = collapse_both(part)
-                    M = necklace_oracle(col.dec.space, col.base0, col.base1)
-                    if find_isomorphism(X, M) is None:
-                        return False, (f"two-sided model disagrees on a "
+            N = flat(nerve(P))
+            for part in ordered_partitions(P):
+                X = mapping_space(part, "two_sided", top_dim=2)
+                col = collapse_both(part, N)
+                M = necklace_oracle(col.dec.space, col.base0, col.base1)
+                if find_isomorphism(X, M) is None:
+                    return False, (f"two-sided model disagrees on a "
+                                   f"poset of size {size}")
+                runs += 1
+                colu = collapse_upper(part, N)
+                for j in sorted(part.lower, key=str):
+                    Xr = mapping_space(part, "right", j=j, top_dim=2)
+                    v = colu.quot(simplex_by_chain(
+                        colu.quot.source, (j,))).base
+                    Mr = necklace_oracle(colu.dec.space, v, colu.base1)
+                    if find_isomorphism(Xr, Mr) is None:
+                        return False, (f"right model disagrees on a "
                                        f"poset of size {size}")
                     runs += 1
-                    colu = collapse_upper(part)
-                    for j in sorted(part.lower, key=str):
-                        Xr = mapping_space(part, "right", j=j, top_dim=2)
-                        v = colu.quot(simplex_by_chain(
-                            colu.quot.source, (j,))).base
-                        Mr = necklace_oracle(colu.dec.space, v, colu.base1)
-                        if find_isomorphism(Xr, Mr) is None:
-                            return False, (f"right model disagrees on a "
-                                           f"poset of size {size}")
-                        runs += 1
     for upper in ({2}, {1, 2}):
         part = make_partition(total_order(2),
                               set(range(3)) - upper, upper)
@@ -578,7 +574,7 @@ def _check_ladder_identities(cfg: SuiteConfig):
 def _check_scaling_counts(cfg: SuiteConfig):
     for n in range(5):
         count = len(q_thin_cells(n))
-        formula = 2 * math.comb(n + 1, 3) + 2 * math.comb(n + 2, 3)
+        formula = q_thin_count(n)
         if count != formula:
             return False, f"thin count at n={n} is {count}, not {formula}"
         dec = q_complex(n)
@@ -814,9 +810,12 @@ def cmd_tw(args) -> int:
 def cmd_poset(args) -> int:
     if args.mode == "mapspace":
         if args.chain is not None:
+            check_poset_size(args.chain + 1)
             P = total_order(args.chain)
         elif args.poset is not None:
-            P = poset_from_json(_load_json(args.poset))
+            obj = _load_json(args.poset)
+            check_poset_size(len(obj["elements"]))
+            P = poset_from_json(obj)
         else:
             raise ValueError("mapspace needs --chain or --poset")
         upper = {_parse_label(t) for t in args.upper.split(",")}

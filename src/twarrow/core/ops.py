@@ -400,6 +400,12 @@ def pushout(f: SimplicialMap, g: SimplicialMap) -> GlueResult:
     return glue([f.target, g.target], rels)
 
 
+# simplices keyed, degenerate ones included; the tests and the suite key
+# at most 375, and the 117,648 of an uncut two-sided mapping space of a
+# 7-element chain take about 10 s
+QUOTIENT_CAP = 20_000
+
+
 def quotient_by_key(X: SimplicialSet, key_fn,
                     top_dim: int | None = None) -> GlueResult:
     """Quotient identifying simplices with equal keys.
@@ -408,9 +414,16 @@ def quotient_by_key(X: SimplicialSet, key_fn,
     still be key-homogeneous; if face or degeneracy propagation merged
     two differently-keyed simplices the relation was not simplicial and
     a ValueError is raised.  A simplex's class is its image in the
-    quotient, so the check keys every simplex up to the cap by it.
+    quotient, so the check keys every simplex up to the cap by it; a
+    p-cell has comb(m, p) degeneracies in dimension m, and their count
+    is checked against ``QUOTIENT_CAP`` first.
     """
     cap = X.top_dim if top_dim is None else min(X.top_dim, top_dim)
+    size = sum(n * comb(m, p) for p, n in X.counts.items()
+               for m in range(p, cap + 1))
+    if size > QUOTIENT_CAP:
+        raise ValueError(f"quotient needs a small complex: {size} simplices "
+                         f"to key, cap {QUOTIENT_CAP}")
     rels, keyed = [], []
     for m in range(cap + 1):
         by_key: dict[object, Simplex] = {}

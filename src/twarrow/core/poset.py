@@ -80,23 +80,27 @@ class Poset:
         return Poset([e for e in self.elements if e in keep],
                      [(a, b) for a, b in self.le if a in keep and b in keep])
 
-    def _chain_levels(self, length: int) -> list[list[tuple]]:
+    def _chain_levels(self, length: int):
         """Strict chains of 1..``length`` elements as position tuples, one
         list per length, each in lexicographic order; stops after the
         first empty list.  Extending each chain of a level by the
-        successors of its top, in ascending position, keeps that order."""
+        successors of its top, in ascending position, keeps that order.
+        A level is built only when the one before it has been taken."""
         succ = [_bits(row) for row in self._up]
-        levels = [[(i,) for i in range(len(succ))]] if length > 0 else []
-        while levels and levels[-1] and len(levels) < length:
-            levels.append([c + (j,) for c in levels[-1] for j in succ[c[-1]]])
-        return levels
+        level = [(i,) for i in range(len(succ))]
+        for k in range(length):
+            if k:
+                level = [c + (j,) for c in level for j in succ[c[-1]]]
+            yield level
+            if not level:
+                return
 
     def chains(self, length: int) -> list[tuple]:
         """All strictly increasing chains with ``length`` elements, in
         lexicographic order of element positions."""
         if length == 0:
             return [()]
-        levels = self._chain_levels(length)
+        levels = list(self._chain_levels(length))
         if len(levels) < length:
             return []
         els = self.elements
@@ -128,20 +132,36 @@ def total_order(n: int) -> Poset:
     return Poset(range(n + 1), [(i, i + 1) for i in range(n)])
 
 
+# the tests build nerves of at most 12,543 cells (the ladder poset at
+# n = 3); one of 94,585 cells (the chains of a 7-element chain that
+# start below its top) takes about 2 s
+NERVE_CAP = 50_000
+
+
 def nerve(P: Poset, top_dim: int | None = None) -> SimplicialSet:
     """Nerve of a poset, cells labelled by their chains.
 
     The cells of each dimension are numbered in lexicographic order of
-    the positions of their chains' elements."""
+    the positions of their chains' elements.  The chains are listed one
+    dimension at a time, and the nerve is refused as soon as they pass
+    ``NERVE_CAP``, before any face is built."""
     cap = P.height() - 1
     if top_dim is not None:
         cap = min(cap, top_dim)
+    levels = []
+    size = 0
+    for level in P._chain_levels(cap + 1):
+        if not level:
+            break
+        size += len(level)
+        if size > NERVE_CAP:
+            raise ValueError(f"nerve needs a small poset: at least {size} "
+                             f"cells, cap {NERVE_CAP}")
+        levels.append(level)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, int] = {}
     els = P.elements
-    for d, level in enumerate(P._chain_levels(cap + 1)):
-        if not level:
-            break
+    for d, level in enumerate(levels):
         counts[d] = len(level)
         for i, chain in enumerate(level):
             index[chain] = i

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core.complex import SimplicialSet, point
-from .core.maps import SimplicialMap
+from .core.maps import SimplicialMap, unwrap_label
 from .core.ops import GlueResult, glue
 from .core.simplex import Simplex, constant_simplex, flag_map, nondeg
 
@@ -112,19 +112,23 @@ def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:
     return Decorated(Q, thin, marked)
 
 
-def collapse_to_point(incs: list[SimplicialMap],
-                      dec: Decorated) -> tuple[GlueResult, Decorated]:
-    """Crush the image of each inclusion in ``incs`` to a point of its
-    own, all in one gluing.
+def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
+    """Crush the cells of ``dec.space`` on each vertex-label set in
+    ``parts`` (singleton chains unwrapped), which are closed under
+    faces, to a point of its own, all in one gluing.
 
     Returns the gluing, whose pieces are [point, ..., point, dec.space]
-    with the k-th point the image of ``incs[k]``, and the decoration
-    pushed onto it.  Images that meet land on one point.
+    with the k-th point that of ``parts[k]``, and the decoration pushed
+    onto it.  Sets whose cells meet land on one point.
     """
-    last = len(incs)
-    rels = [((k, constant_simplex((0, 0), c[0])), (last, inc.data[c]))
-            for k, inc in enumerate(incs) for c in inc.source.all_cells()]
-    pts = [point() for _ in incs]
+    X = dec.space
+    verts = {c: {unwrap_label(X.labels.get(v))
+                 for v in X.vertices(nondeg(*c))} for c in X.all_cells()}
+    last = len(parts)
+    rels = [((k, constant_simplex((0, 0), c[0])), (last, nondeg(*c)))
+            for k, part in enumerate(map(frozenset, parts))
+            for c, vs in verts.items() if vs <= part]
+    pts = [point() for _ in parts]
     res = glue(pts + [dec.space], rels)
     return res, push_decoration(res, [flat(P) for P in pts] + [dec])
 

@@ -136,16 +136,19 @@ def _cap(max_dim: int) -> None:
         raise ValueError(f"max_dim {max_dim} above the dimension cap {DIM_CAP}")
 
 
-def horn_inclusion(n: int, i: int) -> SimplicialMap:
+def _simplex_inclusion(n: int, cells) -> SimplicialMap:
+    """The subcomplex of Delta^n on the face-closed ``cells``, included."""
     D = standard_simplex(n)
-    A, data = subcomplex(D, horn_cells(n, i))
+    A, data = subcomplex(D, cells)
     return SimplicialMap(A, D, data, check=False)
+
+
+def horn_inclusion(n: int, i: int) -> SimplicialMap:
+    return _simplex_inclusion(n, horn_cells(n, i))
 
 
 def boundary_inclusion(n: int) -> SimplicialMap:
-    D = standard_simplex(n)
-    A, data = subcomplex(D, boundary_cells(n))
-    return SimplicialMap(A, D, data, check=False)
+    return _simplex_inclusion(n, boundary_cells(n))
 
 
 def _back(incl: SimplicialMap) -> dict:
@@ -286,30 +289,25 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     only nondegenerate ones are enumerated.
     """
     X, Y = p.source, p.target
-    squares = 0
-    for ce in sorted(Y.cells(1)):
-        ey = nondeg(*ce)
-        vy = Y.face(ey, 0)
-        for cx in sorted(X.cells(0)):
-            x = nondeg(*cx)
-            if p(x) != vy:
-                continue
-            squares += 1
-            prob = _supply_problem(p, dec, ey, x)
-            if solve_lift(prob) is None:
-                return FibrationReport(
-                    "marked-supply", 1, False, prob, squares,
-                    f"no marked edge over {ce} ending at {cx}")
-    return FibrationReport("marked-supply", 1, True, None, squares)
+
+    def groups():
+        for ce in sorted(Y.cells(1)):
+            ey = nondeg(*ce)
+            vy = Y.face(ey, 0)
+            for cx in sorted(X.cells(0)):
+                x = nondeg(*cx)
+                if p(x) == vy:
+                    yield (ce, cx), [_supply_problem(p, dec, ey, x)]
+
+    return _verdict("marked-supply", 1, groups(),
+                    "no marked edge over {} ending at {}".format)
 
 
 @lru_cache(maxsize=None)
 def _supply_inclusion() -> SimplicialMap:
     """The final vertex of Delta^1, built once so that every supply
     square shares its search plan."""
-    D = standard_simplex(1)
-    A, data = subcomplex(D, {simplex_cell(1, (1,))})
-    return SimplicialMap(A, D, data, check=False)
+    return _simplex_inclusion(1, {simplex_cell(1, (1,))})
 
 
 def _supply_problem(p: SimplicialMap, dec: Decorated,

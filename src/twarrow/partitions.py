@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core.complex import Cell, SimplicialSet
-from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
+from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import GlueResult, quotient_by_key
 from .core.poset import Poset, nerve, total_order
 from .core.simplex import Simplex, flag_map, nondeg
@@ -74,6 +74,17 @@ class OrderedPartition:
 
 def make_partition(poset: Poset, lower, upper) -> OrderedPartition:
     return OrderedPartition(poset, frozenset(lower), frozenset(upper))
+
+
+def ordered_partitions(P: Poset):
+    """Every ordered partition of P with both parts nonempty: the lower
+    parts by size, each size in the order of ``itertools.combinations``
+    over the elements."""
+    for r in range(1, len(P.elements)):
+        for lo in itertools.combinations(P.elements, r):
+            hi = [e for e in P.elements if e not in lo]
+            if not any(P.lt(y, x) for y in hi for x in lo):
+                yield make_partition(P, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -132,37 +143,43 @@ def sorted_chain(P: Poset, S) -> tuple:
     return out
 
 
-def is_chain_element(part: OrderedPartition, S) -> bool:
-    S = set(S)
-    if not S:
-        return False
-    P = part.poset
-    if any(not (P.leq(u, v) or P.leq(v, u))
-           for u, v in itertools.combinations(S, 2)):
-        return False
-    chain = sorted_chain(P, S)
-    return chain[0] in part.lower and chain[-1] in part.upper
-
-
 CHAIN_POSET_CAP = 16
+# the tests build chain posets of at most 105 elements; the inclusion
+# pairs grow quadratically, and 1,953 elements (boxplus at n = 4) take
+# about 2 s
+CHAIN_ELEMENTS_CAP = 2_000
 
 _chain_poset_cache: dict = {}
 
 
+def check_poset_size(n: int) -> None:
+    """Refuse chain posets of a poset on more than ``CHAIN_POSET_CAP``
+    elements, before anything is built."""
+    if n > CHAIN_POSET_CAP:
+        raise ValueError(f"chain poset enumeration needs a small poset: "
+                         f"{n} elements, cap {CHAIN_POSET_CAP}")
+
+
+def check_chain_elements(n: int) -> None:
+    """Refuse a chain poset of more than ``CHAIN_ELEMENTS_CAP`` elements
+    before its inclusion pairs are built."""
+    if n > CHAIN_ELEMENTS_CAP:
+        raise ValueError(f"chain poset needs few chains: {n} elements, "
+                         f"cap {CHAIN_ELEMENTS_CAP}")
+
+
 def chain_poset(part: OrderedPartition) -> Poset:
-    """All totally ordered subsets meeting both parts correctly, under
-    inclusion."""
+    """All totally ordered subsets starting in the lower part and ending
+    in the upper one, under inclusion: the chains ``Poset.chains`` lists
+    with a lower first and an upper last element, by size, then ranks."""
     key = (part.poset.elements, part.poset.le, part.lower, part.upper)
     if key not in _chain_poset_cache:
         P = part.poset
-        if len(P.elements) > CHAIN_POSET_CAP:
-            raise ValueError(
-                f"chain poset enumeration needs a small poset: "
-                f"{len(P.elements)} elements, cap {CHAIN_POSET_CAP}")
-        els = [frozenset(c)
-               for r in range(1, len(P.elements) + 1)
-               for c in itertools.combinations(P.elements, r)
-               if is_chain_element(part, c)]
+        check_poset_size(len(P.elements))
+        els = [frozenset(c) for r in range(2, P.height() + 1)
+               for c in P.chains(r)
+               if c[0] in part.lower and c[-1] in part.upper]
+        check_chain_elements(len(els))
         els.sort(key=lambda S: (len(S), tuple(sorted(_rank(P, e) for e in S))))
         pairs = [(S, T) for S in els for T in els if S <= T]
         _chain_poset_cache[key] = Poset(els, pairs)
@@ -185,9 +202,11 @@ def truncate_chain(part: OrderedPartition, chain, side: str):
     """Truncate an ascending flag of chain-poset elements.
 
     Side "R" keeps, in every set, the elements up to the first upper
-    element of the smallest set; "L" keeps those from its last lower
-    element on; "A" applies both.  Repeated sets are allowed, so the
-    flag of any nerve simplex, degenerate or not, can be fed in.
+    element hi of the smallest set; "L" keeps those from its last lower
+    element lo on; "A" keeps both, in one pass: a chain's lower members
+    come before its upper ones, so the "R" cut keeps lo.  Repeated sets
+    are allowed, so the flag of any nerve simplex, degenerate or not,
+    can be fed in.
     """
     chain = tuple(frozenset(S) for S in chain)
     if not chain:
@@ -195,17 +214,15 @@ def truncate_chain(part: OrderedPartition, chain, side: str):
     for S, T in zip(chain, chain[1:]):
         if not S <= T:
             raise ValueError("flag is not ascending")
-    if side == "A":
-        return truncate_chain(part, truncate_chain(part, chain, "R"), "L")
-    if side not in ("R", "L"):
+    if side not in SIDES:
         raise ValueError(f"unknown truncation side {side!r}")
     P = part.poset
     first = sorted_chain(P, chain[0])
-    if side == "R":
-        pivot = next(s for s in first if s in part.upper)
-        return tuple(frozenset(s for s in S if P.leq(s, pivot)) for S in chain)
-    pivot = next(s for s in reversed(first) if s in part.lower)
-    return tuple(frozenset(s for s in S if P.leq(pivot, s)) for S in chain)
+    hi = next(s for s in first if s in part.upper)
+    lo = next(s for s in reversed(first) if s in part.lower)
+    return tuple(frozenset(s for s in S if (side == "L" or P.leq(s, hi))
+                           and (side == "R" or P.leq(lo, s)))
+                 for S in chain)
 
 
 def simplex_flag(N: SimplicialSet, s: Simplex) -> tuple:
@@ -280,16 +297,10 @@ def _part_nerve(part: OrderedPartition, dec: Decorated | None) -> Decorated:
     return dec
 
 
-def _part_inclusion(part: OrderedPartition, dec: Decorated, elems) -> SimplicialMap:
-    """The nerve of the part on ``elems``, included in ``dec.space``."""
-    A = nerve(part.poset.subposet(elems))
-    return map_by_vertices(A, dec.space, lambda e: e)
-
-
 def collapse_upper(part: OrderedPartition, dec: Decorated | None = None) -> Collapse:
     """The nerve with the upper part crushed to a point."""
     dec = _part_nerve(part, dec)
-    res, qdec = collapse_to_point([_part_inclusion(part, dec, part.upper)], dec)
+    res, qdec = collapse_to_point(dec, [part.upper])
     base1 = res.maps[0](nondeg(0, 0)).base
     return Collapse(qdec, res.maps[1], None, base1)
 
@@ -299,8 +310,7 @@ def collapse_both(part: OrderedPartition, dec: Decorated | None = None) -> Colla
     the lower part's point comes first, then the upper part's, then the
     cells of the nerve that neither part contains, in their order."""
     dec = _part_nerve(part, dec)
-    res, qdec = collapse_to_point([_part_inclusion(part, dec, part.lower),
-                                   _part_inclusion(part, dec, part.upper)], dec)
+    res, qdec = collapse_to_point(dec, [part.lower, part.upper])
     base0 = res.maps[0](nondeg(0, 0)).base
     base1 = res.maps[1](nondeg(0, 0)).base
     return Collapse(qdec, res.maps[2], base0, base1)

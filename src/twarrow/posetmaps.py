@@ -34,6 +34,7 @@ from .partitions import (
     OrderedPartition,
     boxplus_partition,
     chain_poset,
+    check_chain_elements,
     collapse_both,
     marked_chain_edge,
     q_partition,
@@ -57,6 +58,7 @@ def interval_poset(i: int, j: int) -> Poset:
     under inclusion.  These index the joints of necklaces from i to j."""
     if not i < j:
         raise ValueError("interval needs i < j")
+    check_chain_elements(2 ** (j - i - 1))
     mids = range(i + 1, j)
     els = [frozenset({i, j}) | frozenset(c)
            for r in range(len(mids) + 1)

@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import DIM_CAP
-from .core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
-from .core.maps import SimplicialMap, map_by_vertices, simplex_by_chain, unwrap_label
+from .core.complex import Cell, SimplicialSet, subcomplex
+from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import op_simplex, opposite, pair_simplex, product
 from .core.poset import Poset, nerve
 from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
@@ -310,9 +310,7 @@ def cone_fiber_span(src: Decorated, y, max_dim: int) -> ConeFiberSpan:
 def _collapse_tail(dec: Decorated, first: int):
     """Quotient of a decorated standard simplex collapsing the face on
     the positions from ``first`` up to a point."""
-    A = standard_simplex(dec.space.top_dim - first)
-    inc = map_by_vertices(A, dec.space, lambda v: v + first)
-    res, qdec = collapse_to_point([inc], dec)
+    res, qdec = collapse_to_point(dec, [range(first, dec.space.top_dim + 1)])
     return qdec, res.maps[1]
 
 

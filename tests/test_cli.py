@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, serialization, exports, the suite."""
 
 import json
+import time
 
 import pytest
 
@@ -22,10 +23,12 @@ from twarrow.cli import (
 from twarrow.core.complex import simplex_cell, standard_simplex
 from twarrow.core.io import complex_to_json, complexes_equal
 from twarrow.core.maps import SimplicialMap, map_by_vertices
-from twarrow.core.poset import Poset, nerve, total_order
+from twarrow.core.ops import QUOTIENT_CAP
+from twarrow.core.poset import NERVE_CAP, Poset, nerve, total_order
 from twarrow.core.simplex import Simplex
 from twarrow.decor import Decorated
 from twarrow.fibration import horn_inclusion
+from twarrow.partitions import CHAIN_ELEMENTS_CAP, CHAIN_POSET_CAP
 
 
 def write(path, obj):
@@ -120,6 +123,52 @@ def test_oversized_simplex_fails_fast(capsys):
     assert f"81, cap {SIMPLEX_CAP}" in capsys.readouterr().err
     assert main(["export", "json", "tw", "--n", "30"]) == 2
     assert f"30, cap {SIMPLEX_CAP}" in capsys.readouterr().err
+
+
+def _refused_at_once(capsys, argv, message):
+    # CPU time, so that a busy host does not count against the command;
+    # each refusal below takes at most about 0.5 s
+    t0 = time.process_time()
+    assert main(argv) == 2
+    assert time.process_time() - t0 < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_oversized_mapping_space_fails_fast(capsys):
+    _refused_at_once(capsys, ["poset", "mapspace", "--chain", "6",
+                              "--upper", "6"],
+                     f"117648 simplices to key, cap {QUOTIENT_CAP}")
+    _refused_at_once(capsys, ["poset", "mapspace", "--chain", "7",
+                              "--upper", "7"], f"cells, cap {NERVE_CAP}")
+
+
+def test_oversized_nerve_fails_fast(capsys):
+    _refused_at_once(capsys, ["zoo", "build", "r", "--n", "5"],
+                     f"cells, cap {NERVE_CAP}")
+
+
+def test_oversized_interval_poset_fails_fast(capsys):
+    _refused_at_once(capsys, ["poset", "descends", "--map", "zeta",
+                              "--n", "8", "--i", "0"],
+                     f"65536 elements, cap {CHAIN_ELEMENTS_CAP}")
+
+
+def test_oversized_chain_poset_fails_fast(capsys):
+    _refused_at_once(capsys, ["poset", "descends", "--map", "B",
+                              "--n", "6"],
+                     f"16129 elements, cap {CHAIN_ELEMENTS_CAP}")
+
+
+def test_oversized_base_poset_fails_fast(capsys, tmp_path):
+    _refused_at_once(capsys, ["poset", "mapspace", "--chain", "2000",
+                              "--upper", "2000"],
+                     f"2001 elements, cap {CHAIN_POSET_CAP}")
+    doc = {"elements": list(range(2001)),
+           "leq": [[i, i + 1] for i in range(2000)]}
+    _refused_at_once(capsys, ["poset", "mapspace", "--poset",
+                              write(tmp_path / "p.json", doc),
+                              "--upper", "2000"],
+                     f"2001 elements, cap {CHAIN_POSET_CAP}")
 
 
 # -- tw and poset commands ---------------------------------------------

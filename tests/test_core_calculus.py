@@ -34,10 +34,9 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
-from twarrow.partitions import collapse_both, collapse_upper
+from twarrow.partitions import collapse_both, collapse_upper, ordered_partitions
 from twarrow.zoo import mirror_join_object, realize
 
-from _corpus import valid_partitions
 
 # -- the bodies the kernels replaced -----------------------------------
 
@@ -304,7 +303,7 @@ def test_every_suite_gluing_and_product_matches_the_reference(monkeypatch):
         assert ok, (name, detail)
     # and every one- and two-point crush of a five-point partition
     for P in all_posets(5):
-        for part in valid_partitions(P):
+        for part in ordered_partitions(P):
             collapse_upper(part)
             collapse_both(part)
     _clear_package_caches()

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from twarrow.core.poset import Poset, all_posets, poset_key
-from twarrow.partitions import chain_poset, chain_poset_at, make_partition
+from twarrow.partitions import chain_poset, chain_poset_at, ordered_partitions
 
 
 def _reference_key(n, rel):
@@ -74,16 +74,10 @@ def _mapping_space_chain_posets():
     slices at each lower element."""
     for size in range(1, 5):
         for P in all_posets(size):
-            for r in range(1, size):
-                for lo in itertools.combinations(P.elements, r):
-                    hi = [e for e in P.elements if e not in lo]
-                    try:
-                        part = make_partition(P, lo, hi)
-                    except ValueError:
-                        continue
-                    yield chain_poset(part)
-                    for j in sorted(part.lower, key=str):
-                        yield chain_poset_at(part, j)
+            for part in ordered_partitions(P):
+                yield chain_poset(part)
+                for j in sorted(part.lower, key=str):
+                    yield chain_poset_at(part, j)
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -13,9 +13,9 @@ from twarrow.partitions import (
     collapse_upper,
     make_partition,
     mapping_space,
+    ordered_partitions,
 )
 
-from _corpus import valid_partitions
 
 
 def loop_complex():
@@ -62,7 +62,7 @@ def test_size_and_dimension_caps():
 def test_oracle_matches_quotient_on_small_partitions():
     for size in (1, 2, 3):
         for P in all_posets(size):
-            for part in valid_partitions(P):
+            for part in ordered_partitions(P):
                 X = mapping_space(part, "two_sided", top_dim=2)
                 col = collapse_both(part)
                 M = necklace_oracle(col.dec.space, col.base0, col.base1)
@@ -86,7 +86,7 @@ def test_oracle_matches_every_five_point_partition():
     # comparisons, about 2 s on a two-core x86 container; budget 30 s
     n = 0
     for P in all_posets(5):
-        for part in valid_partitions(P):
+        for part in ordered_partitions(P):
             X = mapping_space(part, "two_sided", top_dim=2)
             col = collapse_both(part)
             M = necklace_oracle(col.dec.space, col.base0, col.base1)

@@ -21,6 +21,7 @@ from twarrow.partitions import (
     congruence_quotient,
     make_partition,
     mapping_space,
+    ordered_partitions,
     marked_chain_edge,
     marked_chain_edges,
     q_partition,
@@ -33,7 +34,6 @@ from twarrow.partitions import (
     truncate_chain,
 )
 
-from _corpus import valid_partitions
 
 F = frozenset
 
@@ -67,7 +67,7 @@ def test_opposite_partition_is_valid():
 
 def test_all_valid_partitions_have_valid_opposites():
     for P in all_posets(3):
-        for part in valid_partitions(P):
+        for part in ordered_partitions(P):
             part.opposite()
 
 
@@ -136,7 +136,7 @@ def test_truncate_simplices():
 def test_truncation_idempotent_and_commuting():
     for size in (2, 3, 4):
         for P in all_posets(size):
-            for part in valid_partitions(P):
+            for part in ordered_partitions(P):
                 C = chain_poset(part)
                 flags = [(S,) for S in C.elements]
                 flags += [c for c in C.chains(2)] + [c for c in C.chains(3)]
@@ -276,12 +276,47 @@ def _corpus_partitions():
     """Every ordered partition of every poset on one to five points."""
     for size in range(1, 6):
         for P in all_posets(size):
-            yield from valid_partitions(P)
+            yield from ordered_partitions(P)
 
 
 def _compendium_partitions():
     return [f(n) for n in (0, 1, 2) for f in (
         q_partition, star_partition, boxplus_partition, square_partition)]
+
+
+def _reference_is_chain_element(part, S):
+    S = set(S)
+    if not S:
+        return False
+    P = part.poset
+    if any(not (P.leq(u, v) or P.leq(v, u))
+           for u, v in itertools.combinations(S, 2)):
+        return False
+    chain = sorted_chain(P, S)
+    return chain[0] in part.lower and chain[-1] in part.upper
+
+
+def _reference_chain_poset(part):
+    """``chain_poset`` as it was: every subset of the poset tested for
+    comparability, then sorted by the same key."""
+    P = part.poset
+    els = [frozenset(c)
+           for r in range(1, len(P.elements) + 1)
+           for c in itertools.combinations(P.elements, r)
+           if _reference_is_chain_element(part, c)]
+    els.sort(key=lambda S: (len(S), tuple(sorted(
+        (P.down_sizes[P.index[e]], P.index[e]) for e in S))))
+    return Poset(els, [(S, T) for S in els for T in els if S <= T])
+
+
+def test_chain_posets_match_the_subset_scan():
+    parts = list(_corpus_partitions())
+    parts += [dp.part for dp in _compendium_partitions()]
+    for part in parts:
+        got, ref = chain_poset(part), _reference_chain_poset(part)
+        assert got.elements == ref.elements
+        assert got.le == ref.le
+    assert len(parts) == 764 + 12
 
 
 def _reference_congruence_quotient(part, side, j=None, top_dim=None):

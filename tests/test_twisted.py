@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from twarrow import DIM_CAP, twisted
-from twarrow.core.complex import SimplicialSet, simplex_cell, standard_simplex
+from twarrow.core.complex import (SimplicialSet, point, simplex_cell,
+                                  standard_simplex)
 from twarrow.core.maps import SimplicialMap, map_by_vertices, unwrap_label
-from twarrow.core.ops import opposite
+from twarrow.core.ops import glue, opposite
 from twarrow.core.poset import Poset, all_posets, nerve
-from twarrow.core.simplex import Simplex, nondeg
-from twarrow.decor import Decorated, flat, preserves_decoration, sharp
+from twarrow.core.simplex import Simplex, constant_simplex, nondeg
+from twarrow.decor import (Decorated, flat, preserves_decoration,
+                           push_decoration, sharp)
 from twarrow.twisted import (
     WitnessComplex, cone_fiber_complex, cone_fiber_span, retraction_pair,
     slice_outer, slice_projection, tw_comparison, tw_fiber, tw_functor,
@@ -183,6 +185,34 @@ def test_retraction_pair_scaled_and_split():
         ir = rp.incl.compose(rp.retr)
         for v in rp.cone_quot.space.cells(0):
             assert ir(nondeg(*v)) == nondeg(*v)
+
+
+def _reference_collapse_tail(dec, first):
+    """``_collapse_tail`` as it was: the face on the positions from
+    ``first`` up included from a standard simplex, and the image of that
+    inclusion crushed in one gluing."""
+    A = standard_simplex(dec.space.top_dim - first)
+    inc = map_by_vertices(A, dec.space, lambda v: v + first)
+    rels = [((0, constant_simplex((0, 0), c[0])), (1, inc.data[c]))
+            for c in A.all_cells()]
+    res = glue([point(), dec.space], rels)
+    qdec = push_decoration(res, [flat(res.maps[0].source), dec])
+    return qdec, res.maps[1]
+
+
+def test_tail_collapses_match_the_inclusion_ones(monkeypatch):
+    for n in range(4):
+        got = retraction_pair(n)
+        with monkeypatch.context() as m:
+            m.setattr(twisted, "_collapse_tail", _reference_collapse_tail)
+            ref = retraction_pair(n)
+        for a, b in ((got.mirror_quot, ref.mirror_quot),
+                     (got.cone_quot, ref.cone_quot)):
+            assert (a.space.counts, a.space.faces, a.space.labels) == \
+                (b.space.counts, b.space.faces, b.space.labels)
+            assert (a.thin, a.marked) == (b.thin, b.marked)
+        assert got.incl.data == ref.incl.data
+        assert got.retr.data == ref.retr.data
 
 
 def test_tw_dimension_cap():
