@@ -34,7 +34,8 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
-from twarrow.partitions import collapse_both, collapse_upper, ordered_partitions
+from twarrow.partitions import (collapse_both, collapse_upper,
+                                ordered_partitions)
 from twarrow.zoo import mirror_join_object, realize
 
 

@@ -17,7 +17,6 @@ from twarrow.partitions import (
 )
 
 
-
 def loop_complex():
     return SimplicialSet({0: 1, 1: 1}, {(1, 0): (nondeg(0, 0), nondeg(0, 0))})
 

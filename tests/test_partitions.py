@@ -21,9 +21,9 @@ from twarrow.partitions import (
     congruence_quotient,
     make_partition,
     mapping_space,
-    ordered_partitions,
     marked_chain_edge,
     marked_chain_edges,
+    ordered_partitions,
     q_partition,
     segments,
     simplex_flag,
