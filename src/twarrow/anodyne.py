@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core.complex import Cell, SimplicialSet, close_cells, is_closed, subcomplex
-from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
+from .core.complex import Cell, SimplicialSet, close_cells, is_closed
+from .core.maps import simplex_by_chain, unwrap_label
 from .core.simplex import Simplex, nondeg
-from .decor import Decorated, pull_decoration
+from .decor import Decorated, decorated_subcomplex
 
 
 class CertificateError(ValueError):
@@ -194,10 +194,8 @@ def facet_union(dec: Decorated, family, vertices=None):
     Returns the decorated subcomplex and its inclusion map.
     """
     vertices = _face_vertices(dec.space, vertices)
-    cells = dull_start_cells(dec.space, vertices, family)
-    sub, incl_data = subcomplex(dec.space, cells)
-    incl = SimplicialMap(sub, dec.space, incl_data)
-    return pull_decoration(incl, dec), incl
+    return decorated_subcomplex(
+        dec, dull_start_cells(dec.space, vertices, family))
 
 
 def _hypothesis_witness(dec: Decorated, vertices, pivot, Z):

@@ -77,13 +77,30 @@ def fibstep2_family(n: int, i: int, r: int):
     return fam
 
 
+def _run_sequence(dec: Decorated, start, runs, end, name: str):
+    """Fill ``start`` by one pivot run per entry (label, vertices,
+    family, pivot) of ``runs``, each starting from what the stage holds
+    of its face, and concatenate the runs, which must end at ``end``."""
+    space = dec.space
+    start = frozenset(start)
+    stage = set(start)
+    certs = []
+    for label, verts, family, pivot in runs:
+        window = close_cells(space, [simplex_by_chain(space, verts).base])
+        assert stage & window == dull_start_cells(space, verts, family), \
+            f"{label} has an unexpected shape"
+        cert = pivot_certificate(dec, family, vertices=verts, pivot=pivot)
+        certs.append(cert)
+        stage |= set(cert.end)
+    out = concatenate(space, certs, start=start)
+    assert set(out.end) == set(end), f"{name} ends short"
+    return out
+
+
 def fibstep2(n: int, i: int):
     """Fill the core into the extended core, one stretch at a time."""
     _check_range(n, i, FIBSTEP_CAP)
     dec = _ambient(n, i)
-    space = dec.space
-    start = frozenset(q_core_cells(n, i))
-    stage = set(start)
     runs = []
     for mirrored in (False, True):
         for r in range(n, 0, -1):
@@ -94,15 +111,11 @@ def fibstep2(n: int, i: int):
                 verts = tuple(range(0, 2 * n + 2 - r))
             else:
                 verts = tuple(range(r, 2 * n + 2))
-            window = close_cells(space, [simplex_by_chain(space, verts).base])
-            assert stage & window == dull_start_cells(space, verts, fam), \
-                f"stretch r={r} mirrored={mirrored} has an unexpected shape"
-            cert = pivot_certificate(dec, fam, vertices=verts)
-            runs.append(cert)
-            stage |= set(cert.end)
-    out = concatenate(space, runs, start=start)
-    assert set(out.end) == q_core_extended_cells(n, i)
-    return dec, out
+            runs.append((f"stretch r={r} mirrored={mirrored}", verts, fam,
+                         None))
+    return dec, _run_sequence(dec, q_core_cells(n, i), runs,
+                              q_core_extended_cells(n, i),
+                              f"fibstep2({n},{i})")
 
 
 def staircase_pairs(n: int):
@@ -148,19 +161,8 @@ def xi_certificate(n: int):
     if not 0 <= n <= XI_CAP:
         raise ValueError(f"n={n} outside the supported range 0..{XI_CAP}")
     L = ladder_complex(n)
-    space = L.space
-    start = frozenset(ladder_core_cells(L))
-    stage = set(start)
-    runs = []
-    for summand, r, s in staircase_pairs(n):
-        chain = ladder_top_chain(n, r, s, summand)
-        family, pivot = staircase_walls(n, r, s)
-        window = close_cells(space, [simplex_by_chain(space, chain).base])
-        assert stage & window == dull_start_cells(space, chain, family), \
-            f"staircase ({r},{s}) in summand {summand} has an unexpected shape"
-        cert = pivot_certificate(L.dec, family, vertices=chain, pivot=pivot)
-        runs.append(cert)
-        stage |= set(cert.end)
-    out = concatenate(space, runs, start=start)
-    assert set(out.end) == set(space.all_cells())
-    return L, out
+    runs = ((f"staircase ({r},{s}) in summand {summand}",
+             ladder_top_chain(n, r, s, summand), *staircase_walls(n, r, s))
+            for summand, r, s in staircase_pairs(n))
+    return L, _run_sequence(L.dec, ladder_core_cells(L), runs,
+                            L.space.all_cells(), f"xi_certificate({n})")

@@ -50,7 +50,6 @@ from .core.complex import (
     close_cells,
     simplex_cell,
     standard_simplex,
-    subcomplex,
 )
 from .core.io import (
     complex_from_json,
@@ -70,7 +69,8 @@ from .core.maps import (
 from .core.ops import join, opposite, product
 from .core.poset import Poset, all_posets, nerve, total_order
 from .core.simplex import Simplex, nondeg
-from .decor import Decorated, flat, preserves_decoration, pull_decoration, sharp
+from .decor import (Decorated, decorated_subcomplex, flat,
+                    preserves_decoration, sharp)
 from .fibration import (
     cartesian_fibration,
     inner_fibration,
@@ -179,6 +179,8 @@ def map_from_json(obj: dict):
     data = {}
     for key, (word, bd, bi) in obj["data"].items():
         d, i = (int(part) for part in key.split(":"))
+        if not 0 <= i < src.space.n_cells(d):
+            raise ValueError(f"map data key {key!r} names no source cell")
         data[(d, i)] = Simplex(tuple(word), (bd, bi))
     return SimplicialMap(src.space, tgt.space, data), src, tgt
 
@@ -195,6 +197,9 @@ def poset_to_json(P: Poset) -> dict:
 @reader("poset")
 def poset_from_json(obj: dict) -> Poset:
     elems = [decode_label(e) for e in obj["elements"]]
+    for a, b in obj["leq"]:
+        if not (0 <= a < len(elems) and 0 <= b < len(elems)):
+            raise ValueError(f"leq pair {[a, b]} names no element")
     pairs = [(elems[a], elems[b]) for a, b in obj["leq"]]
     return Poset(elems, pairs)
 
@@ -239,12 +244,6 @@ ZOO_NAMES = ("q", "star", "boxtimes", "square", "r", "t",
              "qcal", "k", "kcal", "qdiamond")
 
 
-def _sub_decorated(dec: Decorated, cells) -> Decorated:
-    sub, incl = subcomplex(dec.space, cells)
-    f = SimplicialMap(sub, dec.space, incl, check=False)
-    return pull_decoration(f, dec)
-
-
 def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
     """One decorated compendium object; k and kcal also take the index i."""
     if n < 0:
@@ -265,14 +264,14 @@ def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
         return prism_complex(n)[0]
     if name == "qcal":
         L = ladder_complex(n)
-        return _sub_decorated(L.dec, ladder_core_cells(L))
+        return decorated_subcomplex(L.dec, ladder_core_cells(L))[0]
     if name in ("k", "kcal"):
         if not 0 < i <= n:
             raise ValueError(f"{name} needs an index i with 0 < i <= n")
         ambient = q_diamond(n) if i == n else q_complex(n)
         cells = q_core_cells(n, i) if name == "k" \
             else q_core_extended_cells(n, i)
-        return _sub_decorated(ambient, cells)
+        return decorated_subcomplex(ambient, cells)[0]
     raise ValueError(f"unknown zoo object {name!r}")
 
 

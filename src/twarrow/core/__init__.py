@@ -1,5 +1,5 @@
 from .simplex import Simplex, nondeg, degenerate, degenerate_word, flag_map
-from .complex import (SimplicialSet, empty, point, standard_simplex,
+from .complex import (SimplicialSet, point, standard_simplex,
                       simplex_cell, subcomplex, close_cells, is_closed,
                       boundary_cells, horn_cells)
 from .poset import Poset, total_order, nerve, all_posets, poset_key
@@ -12,7 +12,7 @@ from .io import (complex_to_json, complex_from_json, complexes_equal,
 
 __all__ = [
     "Simplex", "nondeg", "degenerate", "degenerate_word", "flag_map",
-    "SimplicialSet", "empty", "point", "standard_simplex", "simplex_cell",
+    "SimplicialSet", "point", "standard_simplex", "simplex_cell",
     "subcomplex", "close_cells", "is_closed", "boundary_cells", "horn_cells",
     "Poset", "total_order", "nerve", "all_posets", "poset_key",
     "SimplicialMap", "simplex_by_chain", "map_by_vertices", "unwrap_label",

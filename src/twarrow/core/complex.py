@@ -49,9 +49,6 @@ class SimplicialSet:
     def size(self) -> int:
         return sum(self.counts.values())
 
-    def label(self, cell: Cell):
-        return self.labels.get(cell)
-
     def cell_with_label(self, label) -> Cell:
         if self._label_index is None:
             self._label_index = {}
@@ -173,10 +170,6 @@ class SimplicialSet:
 
 
 # -- constructors ------------------------------------------------------
-
-
-def empty() -> SimplicialSet:
-    return SimplicialSet({}, {})
 
 
 def point(label=None) -> SimplicialSet:

@@ -89,8 +89,10 @@ def complex_from_json(obj: dict) -> SimplicialSet:
                 faces[(d, i)] = tuple(
                     Simplex(tuple(w), (bd, bi)) for w, bd, bi in row)
     for key, lab in obj.get("labels", {}).items():
-        d, i = key.split(":")
-        labels[(int(d), int(i))] = decode_label(lab)
+        d, i = (int(part) for part in key.split(":"))
+        if not 0 <= i < counts.get(d, 0):
+            raise ValueError(f"label key {key!r} names no cell")
+        labels[(d, i)] = decode_label(lab)
     X = SimplicialSet(counts, faces, labels)
     X.validate()
     return X

@@ -178,24 +178,16 @@ class JoinData:
         return self.index[(cx, cy)]
 
 
-def join(X: SimplicialSet, Y: SimplicialSet,
-         top_dim: int | None = None) -> JoinData:
+def join(X: SimplicialSet, Y: SimplicialSet) -> JoinData:
     """Join complex; cells are pairs of cells, either side possibly empty."""
-    cap = X.top_dim + Y.top_dim + 1
-    if top_dim is not None:
-        cap = min(cap, top_dim)
     entries: dict[int, list[tuple[Cell | None, Cell | None]]] = {}
     for cx in X.all_cells():
-        if cx[0] <= cap:
-            entries.setdefault(cx[0], []).append((cx, None))
+        entries.setdefault(cx[0], []).append((cx, None))
     for cy in Y.all_cells():
-        if cy[0] <= cap:
-            entries.setdefault(cy[0], []).append((None, cy))
+        entries.setdefault(cy[0], []).append((None, cy))
     for cx in X.all_cells():
         for cy in Y.all_cells():
-            m = cx[0] + cy[0] + 1
-            if m <= cap:
-                entries.setdefault(m, []).append((cx, cy))
+            entries.setdefault(cx[0] + cy[0] + 1, []).append((cx, cy))
     index, parts, counts = {}, {}, {}
     for m in sorted(entries):
         es = sorted(entries[m], key=lambda e: (e[0] is None, e[0] or (0, 0),

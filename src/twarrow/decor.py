@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core.complex import SimplicialSet, point
+from .core.complex import SimplicialSet, point, subcomplex
 from .core.maps import SimplicialMap, unwrap_label
 from .core.ops import GlueResult, glue
 from .core.simplex import Simplex, constant_simplex, flag_map, nondeg
@@ -94,6 +94,14 @@ def pull_decoration(incl: SimplicialMap, tgt: Decorated) -> Decorated:
     thin = {c for c in incl.source.cells(2) if tgt.is_thin(incl(nondeg(*c)))}
     marked = {c for c in incl.source.cells(1) if tgt.is_marked(incl(nondeg(*c)))}
     return Decorated(incl.source, thin, marked)
+
+
+def decorated_subcomplex(dec: Decorated, cells):
+    """The face-closed ``cells`` of ``dec.space`` as a decorated
+    subcomplex, with its inclusion."""
+    sub, data = subcomplex(dec.space, cells)
+    incl = SimplicialMap(sub, dec.space, data, check=False)
+    return pull_decoration(incl, dec), incl
 
 
 def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:

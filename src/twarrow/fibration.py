@@ -211,17 +211,18 @@ def _squares(p: SimplicialMap, incl: SimplicialMap):
     return squares
 
 
-def _verdict(prop: str, max_dim: int, groups, detail,
-             squares: int = 0) -> FibrationReport:
-    """Walk ``groups``, pairs (key, squares), counting the squares on top
-    of ``squares``; fail at the first one ``solve_lift`` cannot fill,
-    with ``detail(*key)``."""
-    for key, probs in groups:
-        for prob in probs:
-            squares += 1
-            if solve_lift(prob) is None:
-                return FibrationReport(prop, max_dim, False, prob, squares,
-                                       detail(*key))
+def _verdict(prop: str, max_dim: int, *stages) -> FibrationReport:
+    """Walk the ``stages``, pairs (groups, detail) whose groups are pairs
+    (key, squares), in turn, counting the squares; fail at the first one
+    ``solve_lift`` cannot fill, with its stage's ``detail(*key)``."""
+    squares = 0
+    for groups, detail in stages:
+        for key, probs in groups:
+            for prob in probs:
+                squares += 1
+                if solve_lift(prob) is None:
+                    return FibrationReport(prop, max_dim, False, prob,
+                                           squares, detail(*key))
     return FibrationReport(prop, max_dim, True, None, squares)
 
 
@@ -229,13 +230,21 @@ def _all_squares(p: SimplicialMap, incl: SimplicialMap):
     return _squares(p, incl)(enumerate_homs(incl.source, p.source))
 
 
+_INNER = "unfillable square against the ({},{}) horn"
+_EDGE = "edge {} fails the ({},{}) horn test"
+_SUPPLY = "no marked edge over {} ending at {}"
+
+
+def _inner_groups(p: SimplicialMap, max_dim: int):
+    return (((n, i), _all_squares(p, horn_inclusion(n, i)))
+            for n in range(2, max_dim + 1) for i in range(1, n))
+
+
 def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against every inner horn square up to max_dim."""
     _cap(max_dim)
-    return _verdict("inner-fibration", max_dim, (
-        ((n, i), _all_squares(p, horn_inclusion(n, i)))
-        for n in range(2, max_dim + 1) for i in range(1, n)),
-        "unfillable square against the ({},{}) horn".format)
+    return _verdict("inner-fibration", max_dim,
+                    (_inner_groups(p, max_dim), _INNER.format))
 
 
 def _edge_of(X: SimplicialSet, e) -> Simplex:
@@ -273,8 +282,7 @@ def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
     _cap(max_dim)
     e = _edge_of(p.source, e)
     return _verdict("cartesian-edge", max_dim,
-                    _right_horn_groups(p, [e], max_dim),
-                    "edge {} fails the ({},{}) horn test".format)
+                    (_right_horn_groups(p, [e], max_dim), _EDGE.format))
 
 
 def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
@@ -288,19 +296,19 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     Degenerate base edges always have the degenerate marked lift, so
     only nondegenerate ones are enumerated.
     """
+    return _verdict("marked-supply", 1,
+                    (_supply_groups(p, dec), _SUPPLY.format))
+
+
+def _supply_groups(p: SimplicialMap, dec: Decorated):
     X, Y = p.source, p.target
-
-    def groups():
-        for ce in sorted(Y.cells(1)):
-            ey = nondeg(*ce)
-            vy = Y.face(ey, 0)
-            for cx in sorted(X.cells(0)):
-                x = nondeg(*cx)
-                if p(x) == vy:
-                    yield (ce, cx), [_supply_problem(p, dec, ey, x)]
-
-    return _verdict("marked-supply", 1, groups(),
-                    "no marked edge over {} ending at {}".format)
+    for ce in sorted(Y.cells(1)):
+        ey = nondeg(*ce)
+        vy = Y.face(ey, 0)
+        for cx in sorted(X.cells(0)):
+            x = nondeg(*cx)
+            if p(x) == vy:
+                yield (ce, cx), [_supply_problem(p, dec, ey, x)]
 
 
 @lru_cache(maxsize=None)
@@ -321,34 +329,23 @@ def _supply_problem(p: SimplicialMap, dec: Decorated,
 def cartesian_fibration(p: SimplicialMap, dec: Decorated,
                         max_dim: int) -> FibrationReport:
     """Inner fibration, every marked edge Cartesian, and marked supply,
-    all bounded by max_dim."""
+    all bounded by max_dim: one walk over the three kinds of square, in
+    that order, each stage started only once the one before it holds."""
     _cap(max_dim)
-    inner = inner_fibration(p, max_dim)
-    if not inner.ok:
-        return FibrationReport(
-            "cartesian-fibration", max_dim, False, inner.counterexample,
-            inner.squares, "inner fibration fails: " + inner.detail)
     edges = [nondeg(*c) for c in sorted(dec.marked)]
-    marked = _verdict("cartesian-fibration", max_dim,
-                      _right_horn_groups(p, edges, max_dim),
-                      "marked edge {} fails the ({},{}) horn test".format,
-                      inner.squares)
-    if not marked.ok:
-        return marked
-    supply = marked_supply(p, dec)
-    squares = marked.squares + supply.squares
-    if not supply.ok:
-        return FibrationReport(
-            "cartesian-fibration", max_dim, False, supply.counterexample,
-            squares, "marked supply fails: " + supply.detail)
-    return FibrationReport("cartesian-fibration", max_dim, True, None, squares)
+    return _verdict(
+        "cartesian-fibration", max_dim,
+        (_inner_groups(p, max_dim),
+         ("inner fibration fails: " + _INNER).format),
+        (_right_horn_groups(p, edges, max_dim), ("marked " + _EDGE).format),
+        (_supply_groups(p, dec), ("marked supply fails: " + _SUPPLY).format))
 
 
 def trivial_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against the boundary inclusions up to max_dim; the
     dimension 0 case is surjectivity on vertices."""
     _cap(max_dim)
-    return _verdict("trivial-fibration", max_dim, (
+    return _verdict("trivial-fibration", max_dim, ((
         ((n,), _all_squares(p, boundary_inclusion(n)))
         for n in range(max_dim + 1)),
-        "unfillable square against the boundary of dimension {}".format)
+        "unfillable square against the boundary of dimension {}".format))

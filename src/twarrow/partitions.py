@@ -170,15 +170,18 @@ def check_chain_elements(n: int) -> None:
 
 def chain_poset(part: OrderedPartition) -> Poset:
     """All totally ordered subsets starting in the lower part and ending
-    in the upper one, under inclusion: the chains ``Poset.chains`` lists
-    with a lower first and an upper last element, by size, then ranks."""
+    in the upper one, under inclusion: the chains of one pass over the
+    poset's chain levels with a lower first and an upper last element,
+    by size, then ranks."""
     key = (part.poset.elements, part.poset.le, part.lower, part.upper)
     if key not in _chain_poset_cache:
         P = part.poset
         check_poset_size(len(P.elements))
-        els = [frozenset(c) for r in range(2, P.height() + 1)
-               for c in P.chains(r)
-               if c[0] in part.lower and c[-1] in part.upper]
+        pe = P.elements
+        els = [frozenset(pe[i] for i in c)
+               for level in P._chain_levels(len(pe)) for c in level
+               if len(c) > 1 and pe[c[0]] in part.lower
+               and pe[c[-1]] in part.upper]
         check_chain_elements(len(els))
         els.sort(key=lambda S: (len(S), tuple(sorted(_rank(P, e) for e in S))))
         pairs = [(S, T) for S in els for T in els if S <= T]

@@ -49,9 +49,6 @@ from .zoo import mirror, q_thin_triangle
 PARTITIONS = {"q": q_partition, "star": star_partition,
               "boxplus": boxplus_partition, "square": square_partition}
 
-MAP_NAMES = ("zeta", "B", "G", "H", "h_rho",
-             "s_alpha", "s_beta", "r_alpha", "r_beta", "collapse")
-
 
 def interval_poset(i: int, j: int) -> Poset:
     """Subsets of the integer interval [i, j] containing both endpoints,
@@ -110,16 +107,10 @@ def _lower(n, S):
     return frozenset(s for s in S if s <= n)
 
 
-def joint_mirror_map(n: int, i: int):
-    """zeta: drop the far endpoint and adjoin the mirror of the rest."""
-    def f(S):
-        inner = frozenset(s for s in S if s <= n)
-        return inner | frozenset(mirror(n, s) for s in inner)
-    return f
-
-
 def star_to_q(n: int):
-    """B: replace the apex by the mirror image of the lower chain."""
+    """B: replace the apex by the mirror image of the lower chain; also
+    zeta, which drops a joint set's far endpoint and adjoins the mirror
+    of the rest."""
     def f(S):
         S0 = _lower(n, S)
         return S0 | frozenset(mirror(n, s) for s in S0)
@@ -216,15 +207,13 @@ def square_to_star(n: int):
 @dataclass
 class DescentReport:
     ok: bool
-    src_side: str
-    tgt_side: str
     counterexample: tuple | None = None
 
 
 def descends(fn, src_part: OrderedPartition, tgt_part: OrderedPartition,
-             src_side: str = "A", tgt_side: str = "A",
              domain: Poset | None = None) -> DescentReport:
-    """Exhaustively check that equal-truncation flags stay that way.
+    """Exhaustively check that flags with equal two-sided truncations
+    stay that way.
 
     Runs over every inclusion pair of the (possibly restricted) chain
     poset; a counterexample is a pair of flags with equal source keys
@@ -236,16 +225,15 @@ def descends(fn, src_part: OrderedPartition, tgt_part: OrderedPartition,
         for T in P.elements:
             if not S <= T:
                 continue
-            key = truncate_chain(src_part, (S, T), src_side)
-            img = truncate_chain(tgt_part, (fn(S), fn(T)), tgt_side)
+            key = truncate_chain(src_part, (S, T), "A")
+            img = truncate_chain(tgt_part, (fn(S), fn(T)), "A")
             if key in seen:
                 img0, flag0 = seen[key]
                 if img0 != img:
-                    return DescentReport(False, src_side, tgt_side,
-                                         (flag0, (S, T)))
+                    return DescentReport(False, (flag0, (S, T)))
             else:
                 seen[key] = (img, (S, T))
-    return DescentReport(True, src_side, tgt_side)
+    return DescentReport(True)
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +282,21 @@ def _switch_index(name, n, params, top):
     return i
 
 
+# name: source kind, target kind, element map (h_rho's takes i too)
+_CHAIN_MAPS = {
+    "B": ("star", "q", star_to_q),
+    "G": ("square", "boxplus", square_to_cone_mirrored),
+    "H": ("square", "boxplus", square_to_cone_plain),
+    "h_rho": ("square", "boxplus", square_to_cone_partial),
+    "s_alpha": ("star", "boxplus", star_to_graph),
+    "s_beta": ("boxplus", "boxplus", graph_to_cone),
+    "r_alpha": ("boxplus", "star", graph_to_star),
+    "r_beta": ("boxplus", "boxplus", cone_to_graph),
+    "collapse": ("square", "star", square_to_star),
+}
+MAP_NAMES = ("zeta", *_CHAIN_MAPS)
+
+
 def _spec(name: str, n: int, params: dict):
     """Source poset, target poset, map, and the decorations to check."""
     if name == "zeta":
@@ -303,23 +306,15 @@ def _spec(name: str, n: int, params: dict):
         src_marked = lambda S, T: segment_marked(lambda t: max(t) <= n, S, T)
         tgt_marked = lambda S, T: segment_marked(
             lambda t: q_thin_triangle(n, t), S, T)
-        return src, tgt, joint_mirror_map(n, i), None, src_marked, tgt_marked
+        return src, tgt, star_to_q(n), None, src_marked, tgt_marked
     if name not in MAP_NAMES:
         raise ValueError(f"unknown map name {name!r}")
-    kinds = {"B": ("star", "q"), "G": ("square", "boxplus"),
-             "H": ("square", "boxplus"), "h_rho": ("square", "boxplus"),
-             "s_alpha": ("star", "boxplus"), "s_beta": ("boxplus", "boxplus"),
-             "r_alpha": ("boxplus", "star"), "r_beta": ("boxplus", "boxplus"),
-             "collapse": ("square", "star")}[name]
+    *kinds, make = _CHAIN_MAPS[name]
     sp, tp = (PARTITIONS[k](n).part for k in kinds)
-    fns = {"B": star_to_q, "G": square_to_cone_mirrored,
-           "H": square_to_cone_plain, "s_alpha": star_to_graph,
-           "s_beta": graph_to_cone, "r_alpha": graph_to_star,
-           "r_beta": cone_to_graph, "collapse": square_to_star}
     if name == "h_rho":
-        fn = square_to_cone_partial(n, _switch_index(name, n, params, n + 1))
+        fn = make(n, _switch_index(name, n, params, n + 1))
     else:
-        fn = fns[name](n)
+        fn = make(n)
     # s_alpha and r_beta land in the graph subposet; r_alpha and s_beta
     # start from it, with the marking its ambient chain poset induces
     src = graph_poset(n) if name in ("s_beta", "r_alpha") \

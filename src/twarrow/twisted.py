@@ -21,13 +21,14 @@ import itertools
 from dataclasses import dataclass
 
 from . import DIM_CAP
-from .core.complex import Cell, SimplicialSet, subcomplex
+from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import op_simplex, opposite, pair_simplex, product
 from .core.poset import Poset, nerve
 from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
                            strip_collapse)
-from .decor import Decorated, collapse_to_point, op_decoration, pull_decoration
+from .decor import (Decorated, collapse_to_point, decorated_subcomplex,
+                    op_decoration)
 from .zoo import (VertexCosimplicial, boxplus_complex, cone_inclusion,
                   cone_object, cone_retraction, mirror_cone_object,
                   mirror_join_object, q_complex)
@@ -149,14 +150,13 @@ def twisted_arrow(src: Decorated, max_dim: int) -> WitnessComplex:
     return _build(mirror_join_object(), _mirror_label, src, max_dim)
 
 
-def tw_projection(twc: WitnessComplex, top_dim: int | None = None):
+def tw_projection(twc: WitnessComplex):
     """The map to (input) x (input reversed), by restriction to the two
     halves of each witness.  Returns (map, product data, decorated target).
     """
     C = twc.source
-    cap = twc.max_dim if top_dim is None else top_dim
     Cop = op_decoration(C, opposite(C.space))
-    pdata = product(C.space, Cop.space, top_dim=cap)
+    pdata = product(C.space, Cop.space, top_dim=twc.max_dim)
     thin = frozenset(
         c for c in pdata.complex.cells(2)
         if C.is_thin(pdata.pr1(nondeg(*c))) and Cop.is_thin(pdata.pr2(nondeg(*c))))
@@ -200,9 +200,7 @@ def tw_fiber(twc: WitnessComplex, x=None, y=None):
                 C.restrict(w, range(n + 1, 2 * n + 2)) != constant_simplex(cy, n):
             continue
         keep.add(c)
-    sub, incl_data = subcomplex(twc.space, keep)
-    incl = SimplicialMap(sub, twc.space, incl_data)
-    return pull_decoration(incl, twc.dec), incl
+    return decorated_subcomplex(twc.dec, keep)
 
 
 # -- the classical oracle ----------------------------------------------

@@ -33,10 +33,9 @@ class VertexCosimplicial:
     p with p and p+1 sent to one vertex by the j-th codegeneracy.
     """
 
-    def __init__(self, width, vertex, thin, name="cosimplicial"):
+    def __init__(self, width, vertex, thin):
         self.width = width
         self.vertex = vertex
-        self.name = name
         self.thin = thin
         self._cache: dict[int, SimplicialSet] = {}
         self._positions: dict[tuple[str, int], tuple] = {}
@@ -88,8 +87,7 @@ def mirror_join_object() -> VertexCosimplicial:
             return g[v]
         return 2 * dt + 1 - g[2 * ds + 1 - v]
 
-    return VertexCosimplicial(lambda d: 2 * d + 1, vertex, q_thin_triangle,
-                              "mirror_join")
+    return VertexCosimplicial(lambda d: 2 * d + 1, vertex, q_thin_triangle)
 
 
 def cone_object() -> VertexCosimplicial:
@@ -98,8 +96,7 @@ def cone_object() -> VertexCosimplicial:
     def vertex(g, ds, dt, v):
         return g[v] if v <= ds else dt + 1
 
-    return VertexCosimplicial(lambda d: d + 1, vertex, star_thin_triangle,
-                              "cone")
+    return VertexCosimplicial(lambda d: d + 1, vertex, star_thin_triangle)
 
 
 def mirror_cone_object() -> VertexCosimplicial:
@@ -113,7 +110,7 @@ def mirror_cone_object() -> VertexCosimplicial:
         return 2 * dt + 2
 
     return VertexCosimplicial(lambda d: 2 * d + 2, vertex,
-                              boxplus_thin_triangle, "mirror_cone")
+                              boxplus_thin_triangle)
 
 
 def coface(i: int, d: int) -> tuple[int, ...]:
@@ -121,8 +118,7 @@ def coface(i: int, d: int) -> tuple[int, ...]:
     return tuple(v if v < i else v + 1 for v in range(d))
 
 
-def realize(F: VertexCosimplicial, X: SimplicialSet,
-            top_dim: int | None = None) -> GlueResult:
+def realize(F: VertexCosimplicial, X: SimplicialSet) -> GlueResult:
     """Colimit of F over the simplices of X.
 
     The result's pieces are indexed by the nondegenerate cells of X in
@@ -144,4 +140,4 @@ def realize(F: VertexCosimplicial, X: SimplicialSet,
             for a in A.all_cells():
                 rels.append(((pos[c], into_c(nondeg(*a))),
                              (pos[f.base], onto_base(nondeg(*a)))))
-    return glue(pieces, rels, top_dim=top_dim)
+    return glue(pieces, rels)

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, serialization, exports, the suite."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,7 +196,15 @@ def _malformed_complexes():
     bad_base["simplices"]["1"]["faces"][0][0][1] = "a"
     no_faces = json.loads(json.dumps(seg))
     del no_faces["simplices"]["1"]["faces"]
+    no_cell = json.loads(json.dumps(seg))
+    no_cell["labels"]["5:9"] = 0
+    negative = json.loads(json.dumps(seg))
+    negative["labels"]["0:-1"] = 0
     return [pytest.param(bad_label, "cannot decode label", id="label"),
+            pytest.param(no_cell, "label key '5:9' names no cell",
+                         id="label-key"),
+            pytest.param(negative, "label key '0:-1' names no cell",
+                         id="negative-label-key"),
             pytest.param(bad_base, "malformed complex document", id="base"),
             pytest.param(no_faces, "lacks the 'faces' entry", id="faces"),
             pytest.param([seg], "JSON object, not list", id="list")]
@@ -216,6 +226,25 @@ def test_check_rejects_map_data_that_is_not_a_list(tmp_path, capsys):
     m = write(tmp_path / "map.json", doc)
     assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 2
     assert "malformed map document" in capsys.readouterr().err
+
+
+def test_check_rejects_map_data_for_a_cell_the_source_lacks(tmp_path,
+                                                            capsys):
+    f = map_by_vertices(standard_simplex(1), standard_simplex(0),
+                        lambda v: 0)
+    doc = map_to_json(f)
+    doc["data"]["7:3"] = [[], 0, 0]
+    m = write(tmp_path / "map.json", doc)
+    assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 2
+    assert "map data key '7:3' names no source cell" in capsys.readouterr().err
+
+
+def test_poset_file_with_a_negative_index_is_refused(tmp_path, capsys):
+    # read as an index from the end, -1 would make 2 <= 0
+    src = write(tmp_path / "p.json",
+                {"elements": [0, 1, 2], "leq": [[-1, 0]]})
+    assert main(["poset", "mapspace", "--poset", src, "--upper", "0"]) == 2
+    assert "leq pair [-1, 0] names no element" in capsys.readouterr().err
 
 
 def test_tw_fiber_cli(tmp_path):
@@ -364,6 +393,29 @@ def test_run_suite_returns_report():
     status, report = run_suite(SuiteConfig(checks=("scaling-counts",)))
     assert status == 0
     assert report["checks"][0]["check"] == "scaling-counts"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the README examples that read no input file
+SELF_CONTAINED = {("zoo", "build"), ("poset", "mapspace"),
+                  ("poset", "descends"), ("certify", "pivot"),
+                  ("certify", "paper"), ("export", "dot")}
+
+
+def _readme_commands():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("twarrow ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv in _readme_commands()
+            if tuple(argv[:2]) in SELF_CONTAINED]
+    assert {tuple(argv[:2]) for argv in runs} == SELF_CONTAINED
+    for argv in runs:
+        assert main(argv) == 0, argv
 
 
 def test_main_without_command():

@@ -8,6 +8,7 @@ from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.poset import all_posets, nerve, total_order
 from twarrow.core.simplex import degenerate_word, nondeg
 from twarrow import fibration
+from twarrow.cli import fibration_report_json
 from twarrow.decor import Decorated, flat, sharp
 from twarrow.fibration import (
     FibrationReport, LiftingProblem, boundary_inclusion, cartesian_edge,
@@ -225,6 +226,65 @@ def test_cartesian_fibration_flat_projection_fails_supply():
     assert not rep.ok
     assert "supply" in rep.detail
     assert solve_lift(rep.counterexample) is None
+
+
+# the bottom of each square over a point: Delta^2 crushed to the vertex
+_CRUSHED_TRIANGLE = {
+    "0:0": [[], 0, 0], "0:1": [[], 0, 0], "0:2": [[], 0, 0],
+    "1:0": [[0], 0, 0], "1:1": [[0], 0, 0], "1:2": [[0], 0, 0],
+    "2:0": [[1, 0], 0, 0]}
+
+
+def _inner_failure():
+    H = horn_inclusion(2, 1).source
+    return to_point(H), sharp(H)
+
+
+def _marked_edge_failure():
+    D = standard_simplex(1)
+    return to_point(D), sharp(D)
+
+
+def _supply_failure():
+    twc = twisted_arrow(sharp(standard_simplex(1)), 2)
+    f, _, _ = tw_projection(twc)
+    dec = twc.dec
+    return f, Decorated(dec.space, dec.thin, dec.marked - {max(dec.marked)})
+
+
+@pytest.mark.parametrize("case, squares, detail, counterexample", [
+    pytest.param(
+        _inner_failure, 4,
+        "inner fibration fails: unfillable square against the (2,1) horn",
+        {"top": {"0:0": [[], 0, 0], "0:1": [[], 0, 1], "0:2": [[], 0, 2],
+                 "1:0": [[], 1, 0], "1:1": [[], 1, 1]},
+         "bottom": _CRUSHED_TRIANGLE, "marked_cells": []},
+        id="inner"),
+    pytest.param(
+        _marked_edge_failure, 6,
+        "marked edge Simplex(word=(), base=(1, 0)) fails the (2,2) horn test",
+        {"top": {"0:0": [[], 0, 1], "0:1": [[], 0, 0], "0:2": [[], 0, 1],
+                 "1:0": [[0], 0, 1], "1:1": [[], 1, 0]},
+         "bottom": _CRUSHED_TRIANGLE, "marked_cells": []},
+        id="marked-edge"),
+    pytest.param(
+        _supply_failure, 9,
+        "marked supply fails: no marked edge over (1, 2) ending at (0, 2)",
+        {"top": {"0:0": [[], 0, 2]},
+         "bottom": {"0:0": [[], 0, 1], "0:1": [[], 0, 3],
+                    "1:0": [[], 1, 2]},
+         "marked_cells": [[1, 0]]},
+        id="supply"),
+])
+def test_cartesian_fibration_failure_reports(case, squares, detail,
+                                             counterexample):
+    """One failure per stage, pinned as the report file gives it; each
+    square count includes the squares of the stages before."""
+    p, dec = case()
+    assert fibration_report_json(cartesian_fibration(p, dec, 2)) == {
+        "property": "cartesian-fibration", "max_dim": 2, "ok": False,
+        "squares": squares, "detail": detail,
+        "counterexample": counterexample}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

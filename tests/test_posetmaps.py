@@ -18,7 +18,6 @@ from twarrow.posetmaps import (
     graph_to_star,
     in_graph,
     interval_poset,
-    joint_mirror_map,
     named_map,
     segment_marked,
     square_to_cone_mirrored,
@@ -39,7 +38,7 @@ def test_interval_poset():
 
 
 def test_zeta_examples():
-    f = joint_mirror_map(1, 0)
+    f = star_to_q(1)
     assert f(F({0, 2})) == F({0, 3})
     assert f(F({0, 1, 2})) == F({0, 1, 2, 3})
 
