@@ -162,13 +162,10 @@ def _map_data_json(data) -> dict:
             for (d, i), s in sorted(data.items())}
 
 
-def map_to_json(f: SimplicialMap, src_dec: Decorated | None = None,
-                tgt_dec: Decorated | None = None) -> dict:
-    src = complex_to_json(f.source) if src_dec is None \
-        else decorated_to_json(src_dec)
-    tgt = complex_to_json(f.target) if tgt_dec is None \
-        else decorated_to_json(tgt_dec)
-    return {"source": src, "target": tgt, "data": _map_data_json(f.data)}
+def map_to_json(f: SimplicialMap) -> dict:
+    return {"source": complex_to_json(f.source),
+            "target": complex_to_json(f.target),
+            "data": _map_data_json(f.data)}
 
 
 @reader("map")
@@ -276,18 +273,13 @@ def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
 
 
 def export_text(kind: str, obj: str, n: int, i: int = 1) -> str:
-    if obj == "tw":
-        twc = twisted_arrow(sharp(standard_simplex(n)), min(3, DIM_CAP))
-        if kind == "json":
-            return _dump(decorated_to_json(twc.dec))
-        return dot_skeleton(twc.space, marked=twc.dec.marked,
-                            name=f"tw{n}") + "\n"
     if obj == "r-hasse":
         P = ladder_poset(n)
         if kind == "json":
             return _dump(poset_to_json(P))
         return hasse_dot(P, name=f"r{n}")
-    dec = build_zoo(obj, n, i=i)
+    dec = twisted_arrow(sharp(standard_simplex(n)), min(3, DIM_CAP)).dec \
+        if obj == "tw" else build_zoo(obj, n, i=i)
     if kind == "json":
         return _dump(decorated_to_json(dec))
     if kind == "dot":

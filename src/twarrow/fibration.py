@@ -212,17 +212,17 @@ def _squares(p: SimplicialMap, incl: SimplicialMap):
 
 
 def _verdict(prop: str, max_dim: int, *stages) -> FibrationReport:
-    """Walk the ``stages``, pairs (groups, detail) whose groups are pairs
-    (key, squares), in turn, counting the squares; fail at the first one
-    ``solve_lift`` cannot fill, with its stage's ``detail(*key)``."""
+    """Walk the ``stages``, pairs (prefix, groups) whose groups are pairs
+    (detail, squares), in turn, counting the squares; fail at the first
+    one ``solve_lift`` cannot fill, with ``prefix + detail``."""
     squares = 0
-    for groups, detail in stages:
-        for key, probs in groups:
+    for prefix, groups in stages:
+        for detail, probs in groups:
             for prob in probs:
                 squares += 1
                 if solve_lift(prob) is None:
                     return FibrationReport(prop, max_dim, False, prob,
-                                           squares, detail(*key))
+                                           squares, prefix + detail)
     return FibrationReport(prop, max_dim, True, None, squares)
 
 
@@ -230,13 +230,9 @@ def _all_squares(p: SimplicialMap, incl: SimplicialMap):
     return _squares(p, incl)(enumerate_homs(incl.source, p.source))
 
 
-_INNER = "unfillable square against the ({},{}) horn"
-_EDGE = "edge {} fails the ({},{}) horn test"
-_SUPPLY = "no marked edge over {} ending at {}"
-
-
 def _inner_groups(p: SimplicialMap, max_dim: int):
-    return (((n, i), _all_squares(p, horn_inclusion(n, i)))
+    return ((f"unfillable square against the ({n},{i}) horn",
+             _all_squares(p, horn_inclusion(n, i)))
             for n in range(2, max_dim + 1) for i in range(1, n))
 
 
@@ -244,7 +240,7 @@ def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against every inner horn square up to max_dim."""
     _cap(max_dim)
     return _verdict("inner-fibration", max_dim,
-                    (_inner_groups(p, max_dim), _INNER.format))
+                    ("", _inner_groups(p, max_dim)))
 
 
 def _edge_of(X: SimplicialSet, e) -> Simplex:
@@ -265,7 +261,7 @@ def _last_edge_cell(incl: SimplicialMap):
 
 def _right_horn_groups(p: SimplicialMap, edges, max_dim: int):
     """Per right horn (n, n) up to max_dim and per edge e of ``edges``:
-    the key (e, n, n) and the squares whose final edge is e."""
+    the detail naming both and the squares whose final edge is e."""
     for n in range(2, max_dim + 1):
         incl = horn_inclusion(n, n)
         last = _last_edge_cell(incl)
@@ -274,7 +270,8 @@ def _right_horn_groups(p: SimplicialMap, edges, max_dim: int):
             by_edge.setdefault(f.data[last], []).append(f)
         squares_of = _squares(p, incl)
         for e in edges:
-            yield (e, n, n), squares_of(by_edge.get(e, []))
+            yield (f"edge {e} fails the ({n},{n}) horn test",
+                   squares_of(by_edge.get(e, [])))
 
 
 def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
@@ -282,7 +279,7 @@ def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
     _cap(max_dim)
     e = _edge_of(p.source, e)
     return _verdict("cartesian-edge", max_dim,
-                    (_right_horn_groups(p, [e], max_dim), _EDGE.format))
+                    ("", _right_horn_groups(p, [e], max_dim)))
 
 
 def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
@@ -296,8 +293,7 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
     Degenerate base edges always have the degenerate marked lift, so
     only nondegenerate ones are enumerated.
     """
-    return _verdict("marked-supply", 1,
-                    (_supply_groups(p, dec), _SUPPLY.format))
+    return _verdict("marked-supply", 1, ("", _supply_groups(p, dec)))
 
 
 def _supply_groups(p: SimplicialMap, dec: Decorated):
@@ -308,7 +304,8 @@ def _supply_groups(p: SimplicialMap, dec: Decorated):
         for cx in sorted(X.cells(0)):
             x = nondeg(*cx)
             if p(x) == vy:
-                yield (ce, cx), [_supply_problem(p, dec, ey, x)]
+                yield (f"no marked edge over {ce} ending at {cx}",
+                       [_supply_problem(p, dec, ey, x)])
 
 
 @lru_cache(maxsize=None)
@@ -333,19 +330,17 @@ def cartesian_fibration(p: SimplicialMap, dec: Decorated,
     that order, each stage started only once the one before it holds."""
     _cap(max_dim)
     edges = [nondeg(*c) for c in sorted(dec.marked)]
-    return _verdict(
-        "cartesian-fibration", max_dim,
-        (_inner_groups(p, max_dim),
-         ("inner fibration fails: " + _INNER).format),
-        (_right_horn_groups(p, edges, max_dim), ("marked " + _EDGE).format),
-        (_supply_groups(p, dec), ("marked supply fails: " + _SUPPLY).format))
+    return _verdict("cartesian-fibration", max_dim,
+                    ("inner fibration fails: ", _inner_groups(p, max_dim)),
+                    ("marked ", _right_horn_groups(p, edges, max_dim)),
+                    ("marked supply fails: ", _supply_groups(p, dec)))
 
 
 def trivial_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against the boundary inclusions up to max_dim; the
     dimension 0 case is surjectivity on vertices."""
     _cap(max_dim)
-    return _verdict("trivial-fibration", max_dim, ((
-        ((n,), _all_squares(p, boundary_inclusion(n)))
-        for n in range(max_dim + 1)),
-        "unfillable square against the boundary of dimension {}".format))
+    return _verdict("trivial-fibration", max_dim, ("", (
+        (f"unfillable square against the boundary of dimension {n}",
+         _all_squares(p, boundary_inclusion(n)))
+        for n in range(max_dim + 1))))

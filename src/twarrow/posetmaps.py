@@ -159,27 +159,18 @@ def _columns(S):
 
 def square_to_cone_mirrored(n: int):
     """G: record the whole history of the lower columns."""
-    v = 2 * n + 2
-    def f(S):
-        S0 = _columns(S)
-        return frozenset(S0) | frozenset(mirror(n, s) for s in S0) | {v}
-    return f
+    return square_to_cone_partial(n, 0)
 
 
 def square_to_cone_mirrored_bare(n: int):
     # footnote variant of G without the cone point
-    def f(S):
-        S0 = _columns(S)
-        return frozenset(S0) | frozenset(mirror(n, s) for s in S0)
-    return f
+    g, v = square_to_cone_mirrored(n), 2 * n + 2
+    return lambda S: g(S) - {v}
 
 
 def square_to_cone_plain(n: int):
     """H: forget the upper columns entirely."""
-    v = 2 * n + 2
-    def f(S):
-        return frozenset(_columns(S)) | {v}
-    return f
+    return square_to_cone_partial(n, n + 1)
 
 
 def square_to_cone_partial(n: int, i: int):
@@ -311,10 +302,8 @@ def _spec(name: str, n: int, params: dict):
         raise ValueError(f"unknown map name {name!r}")
     *kinds, make = _CHAIN_MAPS[name]
     sp, tp = (PARTITIONS[k](n).part for k in kinds)
-    if name == "h_rho":
-        fn = make(n, _switch_index(name, n, params, n + 1))
-    else:
-        fn = make(n)
+    fn = make(n, _switch_index(name, n, params, n + 1)) \
+        if name == "h_rho" else make(n)
     # s_alpha and r_beta land in the graph subposet; r_alpha and s_beta
     # start from it, with the marking its ambient chain poset induces
     src = graph_poset(n) if name in ("s_beta", "r_alpha") \

@@ -375,7 +375,12 @@ def _supply_cases():
     yield SimplicialMap.identity(D), flat(D), False
 
 
-def test_supply_verdicts_match_the_edge_scan(monkeypatch):
+def test_supply_verdicts_match_the_edge_scan():
+    """``marked_supply`` agrees with the edge scan, and so does the
+    supply stage of ``cartesian_fibration``: its squares follow the
+    inner-horn and marked-edge squares, counted by ``inner_fibration``
+    and ``cartesian_edge``, and a failure there carries the scan's
+    counterexample and detail after the stage prefix."""
     for p, dec, ok in _supply_cases():
         got = marked_supply(p, dec)
         ref = _reference_supply(p, dec)
@@ -383,12 +388,15 @@ def test_supply_verdicts_match_the_edge_scan(monkeypatch):
         assert _report_data(got) == _report_data(ref)
         if not ok:
             assert solve_lift(got.counterexample) is None
-        cart = cartesian_fibration(p, dec, 3)
-        with monkeypatch.context() as m:
-            m.setattr(fibration, "marked_supply", _reference_supply)
-            assert _report_data(cart) == \
-                _report_data(cartesian_fibration(p, dec, 3))
-        assert cart.ok == ok
+        before = [inner_fibration(p, 3)] + [
+            cartesian_edge(p, nondeg(*c), 3) for c in sorted(dec.marked)]
+        assert all(before)
+        want = FibrationReport(
+            "cartesian-fibration", 3, ok, ref.counterexample,
+            sum(r.squares for r in before) + ref.squares,
+            "" if ok else "marked supply fails: " + ref.detail)
+        assert _report_data(cartesian_fibration(p, dec, 3)) == \
+            _report_data(want)
 
 
 def _restricted_bottom_map(D, Y, s):
