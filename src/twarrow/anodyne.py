@@ -188,14 +188,13 @@ def dull_start_cells(space: SimplicialSet, vertices, family) -> set[Cell]:
     return close_cells(space, seeds)
 
 
-def facet_union(dec: Decorated, family, vertices=None):
+def facet_union(dec: Decorated, family):
     """The union of the named facets as a decorated subcomplex.
 
     Returns the decorated subcomplex and its inclusion map.
     """
-    vertices = _face_vertices(dec.space, vertices)
-    return decorated_subcomplex(
-        dec, dull_start_cells(dec.space, vertices, family))
+    return decorated_subcomplex(dec, dull_start_cells(
+        dec.space, _face_vertices(dec.space, None), family))
 
 
 def _hypothesis_witness(dec: Decorated, vertices, pivot, Z):

@@ -104,9 +104,10 @@ def fibstep2(n: int, i: int):
     runs = []
     for mirrored in (False, True):
         for r in range(n, 0, -1):
+            N = 2 * n + 1 - r
             fam = fibstep2_family(n, i, r)
             if mirrored:
-                fam = [{2 * n + 1 - r - p for p in S} for S in fam]
+                fam = [{N - p for p in S} for S in fam]
                 verts = tuple(range(0, 2 * n + 2 - r))
             else:
                 verts = tuple(range(r, 2 * n + 2))

@@ -302,8 +302,10 @@ def _spec(name: str, n: int, params: dict):
         raise ValueError(f"unknown map name {name!r}")
     *kinds, make = _CHAIN_MAPS[name]
     sp, tp = (PARTITIONS[k](n).part for k in kinds)
-    fn = make(n, _switch_index(name, n, params, n + 1)) \
-        if name == "h_rho" else make(n)
+    if name == "h_rho":
+        fn = make(n, _switch_index(name, n, params, n + 1))
+    else:
+        fn = make(n)
     # s_alpha and r_beta land in the graph subposet; r_alpha and s_beta
     # start from it, with the marking its ambient chain poset induces
     src = graph_poset(n) if name in ("s_beta", "r_alpha") \

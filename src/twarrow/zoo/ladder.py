@@ -262,7 +262,7 @@ def wedge_poset(n: int) -> Poset:
     return total_order(n).product(V)
 
 
-def core_comparison(n: int, L: Ladder | None = None) -> SimplicialMap:
+def core_comparison(n: int) -> SimplicialMap:
     """The doubled-chain realization of the wedge nerve, mapped onto the
     core subcomplex of the ladder.
 
@@ -270,8 +270,7 @@ def core_comparison(n: int, L: Ladder | None = None) -> SimplicialMap:
     vertices u_0 .. u_d plain followed by u_d .. u_0 mirrored.  The map
     is an isomorphism; callers assert that.
     """
-    if L is None:
-        L = ladder_complex(n)
+    L = ladder_complex(n)
     W = nerve(wedge_poset(n))
     wcells = sorted(W.all_cells())
     res = realize(mirror_join_object(), W)
