@@ -1,13 +1,15 @@
-"""Products, joins, opposites, and a generic gluing engine.
+"""Products, joins, opposites, a generic gluing engine, and quotients.
 
-All three constructions work on nondegenerate cells, which fix them by
+All these constructions work on nondegenerate cells, which fix them by
 the Eilenberg-Zilber lemma.  A product cell is a pair (s_I x, s_J y) of
 degeneracies of nondegenerate cells with I and J disjoint.  The gluing
-engine implements the colimits we need (pushouts, quotients by a
-labelling congruence, disjoint unions): it closes the relations under
-faces, then glues one dimension at a time with a union-find over the
-pieces' nondegenerate cells and the degenerate forms already fixed
-below.
+engine implements the true colimits we need (pushouts, disjoint unions,
+realizations): it closes the relations under faces, then glues one
+dimension at a time with a union-find over the pieces' nondegenerate
+cells and the degenerate forms already fixed below.  A quotient by
+equal keys needs none of that: its classes are the key classes, so it
+is built one dimension at a time from the images below, with three
+checks that the keys form a simplicial congruence.
 """
 
 from __future__ import annotations
@@ -402,13 +404,23 @@ def quotient_by_key(X: SimplicialSet, key_fn,
                     top_dim: int | None = None) -> GlueResult:
     """Quotient identifying simplices with equal keys.
 
-    ``key_fn(simplex) -> hashable``.  After closure, every class must
-    still be key-homogeneous; if face or degeneracy propagation merged
-    two differently-keyed simplices the relation was not simplicial and
-    a ValueError is raised.  A simplex's class is its image in the
-    quotient, so the check keys every simplex up to the cap by it; a
-    p-cell has comb(m, p) degeneracies in dimension m, and their count
-    is checked against ``QUOTIENT_CAP`` first.
+    ``key_fn(simplex) -> hashable``.  Every simplex up to the cap is
+    keyed, so a p-cell's comb(m, p) degeneracies in dimension m are
+    counted against ``QUOTIENT_CAP`` first.  The quotient is then built
+    one dimension at a time from the images below.  A key class that
+    holds a degenerate simplex s_w (b) is that simplex's image, s_w of
+    b's image; every other class is a new cell, numbered in the order of
+    its first member, with that member's faces and the label of its
+    first labelled member.  ``classes[m][k]`` lists the members of the
+    new cell (m, k).  The result is what ``glue`` gives on the key
+    relation.
+
+    Equal keys must form a simplicial congruence, and three tests on
+    each dimension check that they do: (a) the degenerate members of a
+    class have one image, (b) no two classes have the same degenerate
+    image, which with (a) closes the relation under degeneracies, and
+    (c) every member's faces have the images of its class's faces,
+    which closes it under faces.  Any failure raises a ValueError.
     """
     cap = X.top_dim if top_dim is None else min(X.top_dim, top_dim)
     size = sum(n * comb(m, p) for p, n in X.counts.items()
@@ -416,23 +428,71 @@ def quotient_by_key(X: SimplicialSet, key_fn,
     if size > QUOTIENT_CAP:
         raise ValueError(f"quotient needs a small complex: {size} simplices "
                          f"to key, cap {QUOTIENT_CAP}")
-    rels, keyed = [], []
+    image: dict[Cell, Simplex] = {}
+
+    def image_of(s: Simplex) -> Simplex:
+        return degenerate_word(image[s.base], s.word)
+
+    def refuse(m: int, what: str):
+        raise ValueError(f"key relation is not a simplicial congruence: "
+                         f"dimension {m} {what}")
+
+    counts, faces, labels = {}, {}, {}
+    classes: dict[int, list[list[Member]]] = {}
     for m in range(cap + 1):
-        by_key: dict[object, Simplex] = {}
+        # key -> (first degenerate member, its image); image -> member
+        degen: dict[object, tuple[Simplex, Simplex]] = {}
+        owner: dict[Simplex, Simplex] = {}
+        # key -> the faces its degenerate image has; key -> new cell
+        wanted: dict[object, tuple] = {}
+        new: dict[object, Cell] = {}
+        named: dict[Cell, object] = {}
+        classes[m] = []
+        # the degenerate simplices come first, the m-cells last
         for s in X.simplices(m):
             k = key_fn(s)
-            keyed.append((s, k))
-            if k in by_key:
-                rels.append(((0, by_key[k]), (0, s)))
+            if s.word:
+                img = image_of(s)
+                got = degen.get(k)
+                if got is None:
+                    if img in owner:
+                        refuse(m, f"simplices {owner[img]} and {s} have "
+                                  f"different keys and one image {img}")
+                    degen[k] = (s, img)
+                    owner[img] = s
+                elif got[1] != img:
+                    refuse(m, f"simplices {got[0]} and {s} have one key and "
+                              f"images {got[1]} and {img}")
+                continue
+            c = s.base
+            row = tuple(map(image_of, X.faces[c])) if m else ()
+            got = degen.get(k)
+            if got is not None:
+                t, image[c] = got
+                if k not in wanted:
+                    wanted[k] = tuple(image_of(X.face(t, i))
+                                      for i in range(m + 1))
+                want = wanted[k]
             else:
-                by_key[k] = s
-    res = glue([X], rels, top_dim=cap)
-    keys_of: dict[Simplex, set] = {}
-    for s, k in keyed:
-        keys_of.setdefault(res.maps[0](s), set()).add(k)
-    for img, keys in keys_of.items():
-        if len(keys) > 1:
-            raise ValueError(
-                f"key relation is not a simplicial congruence: dimension "
-                f"{img.dim} class mixes keys {sorted(map(repr, keys))[:4]}")
-    return res
+                if k not in new:
+                    new[k] = (m, len(new))
+                    classes[m].append([])
+                    if m:
+                        faces[new[k]] = row
+                cell = new[k]
+                classes[m][cell[1]].append((0, s))
+                image[c] = nondeg(*cell)
+                if cell not in named and c in X.labels:
+                    named[cell] = X.labels[c]
+                want = faces.get(cell, ())
+            if row != want:
+                refuse(m, f"cell {c} has face images {row}, its class "
+                          f"{want}")
+        if new:
+            counts[m] = len(new)
+        # in cell order, as glue lists them
+        labels.update(sorted(named.items()))
+
+    out = SimplicialSet(counts, faces, labels)
+    return GlueResult(out, [SimplicialMap(X, out, image, check=False)],
+                      classes)

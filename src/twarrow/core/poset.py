@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 
 from .complex import SimplicialSet
 from .simplex import nondeg
@@ -80,7 +82,7 @@ class Poset:
         return Poset([e for e in self.elements if e in keep],
                      [(a, b) for a, b in self.le if a in keep and b in keep])
 
-    def _chain_levels(self, length: int):
+    def chain_levels(self, length: int):
         """Strict chains of 1..``length`` elements as position tuples, one
         list per length, each in lexicographic order; stops after the
         first empty list.  Extending each chain of a level by the
@@ -97,10 +99,12 @@ class Poset:
 
     def chains(self, length: int) -> list[tuple]:
         """All strictly increasing chains with ``length`` elements, in
-        lexicographic order of element positions."""
+        lexicographic order of element positions.  The package reads
+        ``chain_levels``; this stays while ``bench/tracer.py`` wraps it
+        by name."""
         if length == 0:
             return [()]
-        levels = list(self._chain_levels(length))
+        levels = list(self.chain_levels(length))
         if len(levels) < length:
             return []
         els = self.elements
@@ -138,19 +142,44 @@ def total_order(n: int) -> Poset:
 NERVE_CAP = 50_000
 
 
+# nerves kept for reuse, least recently used dropped first; the suite
+# asks 658 times for 259 distinct nerves
+_NERVE_MEMO_SIZE = 32
+_nerve_memo: OrderedDict = OrderedDict()
+_nerve_lock = threading.Lock()
+
+
 def nerve(P: Poset, top_dim: int | None = None) -> SimplicialSet:
     """Nerve of a poset, cells labelled by their chains.
 
     The cells of each dimension are numbered in lexicographic order of
     the positions of their chains' elements.  The chains are listed one
     dimension at a time, and the nerve is refused as soon as they pass
-    ``NERVE_CAP``, before any face is built."""
+    ``NERVE_CAP``, before any face is built.  The last
+    ``_NERVE_MEMO_SIZE`` nerves are kept by elements, order and
+    ``top_dim``, and a repeated request returns the kept one, which
+    callers must not change."""
+    key = (P.elements, P.le, top_dim)
+    with _nerve_lock:
+        N = _nerve_memo.get(key)
+        if N is not None:
+            _nerve_memo.move_to_end(key)
+            return N
+    N = _build_nerve(P, top_dim)
+    with _nerve_lock:
+        _nerve_memo[key] = N
+        if len(_nerve_memo) > _NERVE_MEMO_SIZE:
+            _nerve_memo.popitem(last=False)
+    return N
+
+
+def _build_nerve(P: Poset, top_dim: int | None) -> SimplicialSet:
     cap = P.height() - 1
     if top_dim is not None:
         cap = min(cap, top_dim)
     levels = []
     size = 0
-    for level in P._chain_levels(cap + 1):
+    for level in P.chain_levels(cap + 1):
         if not level:
             break
         size += len(level)

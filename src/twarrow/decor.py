@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 from .core.complex import SimplicialSet, point, subcomplex
 from .core.maps import SimplicialMap, unwrap_label
-from .core.ops import GlueResult, glue
-from .core.simplex import Simplex, constant_simplex, flag_map, nondeg
+from .core.ops import GLUE_CAP, GlueResult
+from .core.simplex import (Simplex, constant_simplex, degenerate_word,
+                           flag_map, nondeg)
 
 
 @dataclass
@@ -122,22 +123,82 @@ def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:
 
 def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
     """Crush the cells of ``dec.space`` on each vertex-label set in
-    ``parts`` (singleton chains unwrapped), which are closed under
-    faces, to a point of its own, all in one gluing.
+    ``parts`` (singleton chains unwrapped) to a point of its own, all at
+    once.
 
-    Returns the gluing, whose pieces are [point, ..., point, dec.space]
-    with the k-th point that of ``parts[k]``, and the decoration pushed
-    onto it.  Sets whose cells meet land on one point.
+    A vertex lies in part k when its label does, and a higher cell when
+    all its faces do, that is, all its vertices; those cells form a
+    subcomplex, so crushing it merges nothing else, and the result is
+    built directly.  Parts that share a vertex share a point.  The
+    points come first, then the other cells in their order, each with
+    its faces' images and its label; a point takes the label of the
+    first vertex it crushes.
+
+    Returns what ``glue`` gives on the same crush, with pieces
+    [point, ..., point, dec.space] and the k-th point that of
+    ``parts[k]``, and the decoration pushed onto it.
     """
     X = dec.space
-    verts = {c: {unwrap_label(X.labels.get(v))
-                 for v in X.vertices(nondeg(*c))} for c in X.all_cells()}
+    parts = [frozenset(part) for part in parts]
+    size = len(parts) + X.size()
+    if size > GLUE_CAP:
+        raise ValueError(f"glue needs small pieces: {size} cells, "
+                         f"cap {GLUE_CAP}")
     last = len(parts)
-    rels = [((k, constant_simplex((0, 0), c[0])), (last, nondeg(*c)))
-            for k, part in enumerate(map(frozenset, parts))
-            for c, vs in verts.items() if vs <= part]
+    # per vertex, the parts holding it as a bit mask; each part's least
+    # partner through shared vertices names its point
+    mask = {v: sum(1 << k for k, part in enumerate(parts)
+                   if unwrap_label(X.labels.get(v)) in part)
+            for v in X.cells(0)}
+    rep = list(range(last))
+    for bits in mask.values():
+        if bits & (bits - 1):
+            joined = {rep[k] for k in range(last) if bits >> k & 1}
+            rep = [min(joined) if r in joined else r for r in rep]
+    point_of = {r: nondeg(0, i) for i, r in enumerate(sorted(set(rep)))}
+    classes = {0: [[(k, nondeg(0, 0)) for k in range(last) if rep[k] == r]
+                   for r in point_of]}
+
+    def point_at(bits: int) -> Simplex:
+        # the point of the first part in the mask
+        return point_of[rep[(bits & -bits).bit_length() - 1]]
+
+    named, image = {}, {}
+    for v, bits in mask.items():
+        if bits:
+            image[v] = point_at(bits)
+            classes[0][image[v].base[1]].append((last, nondeg(*v)))
+        else:
+            image[v] = nondeg(0, len(classes[0]))
+            classes[0].append([(last, nondeg(*v))])
+        if v in X.labels:
+            named.setdefault(image[v].base, X.labels[v])
+    # in cell order, as glue lists them
+    labels = dict(sorted(named.items()))
+    counts, faces = {0: len(classes[0])}, {}
+    for m in range(1, X.top_dim + 1):
+        classes[m] = []
+        for c in X.cells(m):
+            row = X.faces[c]
+            # the first and last faces hold all the cell's vertices
+            bits = mask[c] = mask[row[0].base] & mask[row[-1].base]
+            if bits:
+                image[c] = constant_simplex(point_at(bits).base, m)
+                continue
+            cell = (m, len(classes[m]))
+            image[c] = nondeg(*cell)
+            classes[m].append([(last, nondeg(*c))])
+            faces[cell] = tuple(degenerate_word(image[f.base], f.word)
+                                for f in row)
+            if c in X.labels:
+                labels[cell] = X.labels[c]
+        counts[m] = len(classes[m])
+    out = SimplicialSet(counts, faces, labels)
     pts = [point() for _ in parts]
-    res = glue(pts + [dec.space], rels)
+    maps = [SimplicialMap(P, out, {(0, 0): point_of[r]}, check=False)
+            for P, r in zip(pts, rep)]
+    maps.append(SimplicialMap(X, out, image, check=False))
+    res = GlueResult(out, maps, classes)
     return res, push_decoration(res, [flat(P) for P in pts] + [dec])
 
 

@@ -95,33 +95,42 @@ class DecoratedPartition:
     dec: Decorated
 
 
+def cone_partition(kind: str, n: int) -> OrderedPartition:
+    """The vertex poset of a ``q``, ``star``, ``boxplus`` or ``square``
+    complex split into its two parts, without building the complex."""
+    if kind == "q":
+        return make_partition(total_order(2 * n + 1), range(n + 1),
+                              range(n + 1, 2 * n + 2))
+    lo, hi = join_parts(kind, n)
+    if kind == "square":
+        P = total_order(n).product(total_order(1))
+    else:
+        # star and boxplus split a chain
+        P = total_order(len(lo) + len(hi) - 1)
+    return make_partition(P, lo, hi)
+
+
 @lru_cache(maxsize=None)
 def q_partition(n: int) -> DecoratedPartition:
-    part = make_partition(total_order(2 * n + 1), range(n + 1),
-                          range(n + 1, 2 * n + 2))
-    return DecoratedPartition(part, q_complex(n))
+    return DecoratedPartition(cone_partition("q", n), q_complex(n))
 
 
 @lru_cache(maxsize=None)
 def star_partition(n: int) -> DecoratedPartition:
-    lo, hi = join_parts("star", n)
-    return DecoratedPartition(make_partition(total_order(n + 1), lo, hi),
-                              star_complex(n))
+    return DecoratedPartition(cone_partition("star", n), star_complex(n))
 
 
 @lru_cache(maxsize=None)
 def boxplus_partition(n: int) -> DecoratedPartition:
-    lo, hi = join_parts("boxplus", n)
-    return DecoratedPartition(make_partition(total_order(2 * n + 2), lo, hi),
+    return DecoratedPartition(cone_partition("boxplus", n),
                               boxplus_complex(n))
 
 
 @lru_cache(maxsize=None)
 def square_partition(n: int) -> DecoratedPartition:
     # the early-switch scaling is the one the cone collapse preserves
-    lo, hi = join_parts("square", n)
-    part = make_partition(total_order(n).product(total_order(1)), lo, hi)
-    return DecoratedPartition(part, square_complex(n, "early")[0])
+    return DecoratedPartition(cone_partition("square", n),
+                              square_complex(n, "early")[0])
 
 
 # -- totally ordered subsets -------------------------------------------
@@ -179,7 +188,7 @@ def chain_poset(part: OrderedPartition) -> Poset:
         check_poset_size(len(P.elements))
         pe = P.elements
         els = [frozenset(pe[i] for i in c)
-               for level in P._chain_levels(len(pe)) for c in level
+               for level in P.chain_levels(len(pe)) for c in level
                if len(c) > 1 and pe[c[0]] in part.lower
                and pe[c[-1]] in part.upper]
         check_chain_elements(len(els))

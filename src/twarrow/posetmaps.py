@@ -36,6 +36,7 @@ from .partitions import (
     chain_poset,
     check_chain_elements,
     collapse_both,
+    cone_partition,
     marked_chain_edge,
     q_partition,
     segments,
@@ -96,7 +97,7 @@ def in_graph(n: int, S: frozenset) -> bool:
 
 @lru_cache(maxsize=None)
 def graph_poset(n: int) -> Poset:
-    P = chain_poset(boxplus_partition(n).part)
+    P = chain_poset(cone_partition("boxplus", n))
     return P.subposet([S for S in P.elements if in_graph(n, S)])
 
 
@@ -301,7 +302,7 @@ def _spec(name: str, n: int, params: dict):
     if name not in MAP_NAMES:
         raise ValueError(f"unknown map name {name!r}")
     *kinds, make = _CHAIN_MAPS[name]
-    sp, tp = (PARTITIONS[k](n).part for k in kinds)
+    sp, tp = (cone_partition(k, n) for k in kinds)
     if name == "h_rho":
         fn = make(n, _switch_index(name, n, params, n + 1))
     else:

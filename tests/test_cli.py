@@ -22,7 +22,8 @@ from twarrow.cli import (
     poset_to_json,
     run_suite,
 )
-from twarrow.core.complex import simplex_cell, standard_simplex
+from twarrow.core.complex import (SimplicialSet, simplex_cell,
+                                  standard_simplex)
 from twarrow.core.io import complex_to_json, complexes_equal
 from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.ops import QUOTIENT_CAP
@@ -155,10 +156,21 @@ def test_oversized_interval_poset_fails_fast(capsys):
                      f"65536 elements, cap {CHAIN_ELEMENTS_CAP}")
 
 
-def test_oversized_chain_poset_fails_fast(capsys):
+def test_oversized_chain_poset_fails_fast(capsys, monkeypatch):
+    # the named maps read their partitions alone, so the refusal comes
+    # before any complex (Delta^13 for the q side at n = 6) is built
+    built = []
+    init = SimplicialSet.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(SimplicialSet, "__init__", counted)
     _refused_at_once(capsys, ["poset", "descends", "--map", "B",
                               "--n", "6"],
                      f"16129 elements, cap {CHAIN_ELEMENTS_CAP}")
+    assert built == []
 
 
 def test_oversized_base_poset_fails_fast(capsys, tmp_path):

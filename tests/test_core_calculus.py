@@ -7,7 +7,8 @@ recursed through the word one letter at a time, the product listed
 every simplex pair, and the gluing made a union-find member of every
 simplex of every piece up to the cap, closed under faces and
 degeneracies.  ``_reference_quotient`` is the earlier
-``quotient_by_key`` on top of it, and ``_reference_degenerate`` the
+``quotient_by_key`` on top of it, ``_reference_collapse`` the earlier
+``collapse_to_point`` as one ``glue``, and ``_reference_degenerate`` the
 earlier one-letter ``degenerate`` the others build on.  The kernels
 must give the same counts, faces, labels, maps and classes.
 """
@@ -26,7 +27,8 @@ from twarrow.cli import CHECKS, SuiteConfig
 from twarrow.core import ops
 from twarrow.core.complex import (SimplicialSet, horn_cells, point,
                                   standard_simplex, subcomplex)
-from twarrow.core.maps import enumerate_homs, map_by_vertices, to_point
+from twarrow.core.maps import (SimplicialMap, enumerate_homs,
+                               map_by_vertices, to_point, unwrap_label)
 from twarrow.core.ops import (GLUE_CAP, PRODUCT_CAP, disjoint_union, glue,
                               pair_simplex, product, pushout,
                               quotient_by_key)
@@ -34,8 +36,10 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
+from twarrow.decor import (Decorated, collapse_to_point, flat,
+                           push_decoration)
 from twarrow.partitions import (collapse_both, collapse_upper,
-                                ordered_partitions)
+                                mapping_space, ordered_partitions)
 from twarrow.zoo import mirror_join_object, realize
 
 
@@ -268,7 +272,7 @@ def _calls_of(monkeypatch, fns):
 
     def recorder(fn):
         def rec(*args, **kw):
-            if fn is glue:
+            if fn in (glue, collapse_to_point):
                 args = (args[0], list(args[1])) + args[2:]
             res = fn(*args, **kw)
             calls.append((fn.__name__, args, kw, res))
@@ -293,29 +297,62 @@ def _clear_package_caches():
         fn.cache_clear()
 
 
+def _reference_collapse(dec, parts):
+    """``collapse_to_point`` as it was: one glue of each cell whose
+    vertex labels all lie in a part onto that part's point."""
+    X = dec.space
+    last = len(parts)
+    rels = [((k, constant_simplex((0, 0), c[0])), (last, nondeg(*c)))
+            for k, part in enumerate(map(frozenset, parts))
+            for c in X.all_cells()
+            if {unwrap_label(X.labels.get(v))
+                for v in X.vertices(nondeg(*c))} <= part]
+    pts = [point() for _ in parts]
+    res = glue(pts + [X], rels)
+    return res, push_decoration(res, [flat(P) for P in pts] + [dec])
+
+
+def assert_same_collapse(got, ref):
+    (res, qdec), (want, wdec) = got, ref
+    assert_same_complex(res.complex, want.complex)
+    assert [f.data for f in res.maps] == [f.data for f in want.maps]
+    assert res.classes == want.classes
+    assert (qdec.thin, qdec.marked) == (wdec.thin, wdec.marked)
+
+
 def test_every_suite_gluing_and_product_matches_the_reference(monkeypatch):
-    # the quotients and pushouts call glue through the module global, so
-    # one recorder sees realize, pushout, quotient_by_key and the rest
+    # the recorder sees every package binding, so the mapping spaces and
+    # collapses of every check are recorded; no check glues any more
     _clear_package_caches()
-    calls = _calls_of(monkeypatch, [glue, product])
+    calls = _calls_of(monkeypatch, [glue, product, quotient_by_key,
+                                    collapse_to_point])
     cfg = SuiteConfig(seed=12)
     for name, check in CHECKS.items():
         ok, detail = check(cfg)
         assert ok, (name, detail)
-    # and every one- and two-point crush of a five-point partition
+    # and every one- and two-point crush of a five-point partition, with
+    # its two-sided mapping space
     for P in all_posets(5):
         for part in ordered_partitions(P):
             collapse_upper(part)
             collapse_both(part)
+            mapping_space(part, "two_sided", top_dim=2)
     _clear_package_caches()
-    kinds = {"glue": 0, "product": 0}
+    kinds = dict.fromkeys(["glue", "product", "quotient_by_key",
+                           "collapse_to_point"], 0)
     for name, args, kw, res in calls:
         kinds[name] += 1
         if name == "glue":
             assert_same_glue(res, _reference_glue(*args, **kw))
-        else:
+        elif name == "product":
             assert_same_product(res, _reference_product(*args, **kw))
-    assert kinds["glue"] >= 700 and kinds["product"] >= 40
+        elif name == "quotient_by_key":
+            assert_same_glue(res, _reference_quotient(*args, **kw))
+        else:
+            assert_same_collapse(res, _reference_collapse(*args, **kw))
+    assert kinds["glue"] == 0 and kinds["product"] >= 49
+    assert kinds["quotient_by_key"] >= 1002
+    assert kinds["collapse_to_point"] >= 1545
 
 
 # -- seeded random gluings ---------------------------------------------
@@ -402,6 +439,53 @@ def test_random_quotients_match_the_reference():
                 assert_same_glue(quotient_by_key(N, key), ref)
                 outcomes.append("built")
     assert outcomes.count("raised") >= 5 and outcomes.count("built") >= 20
+
+
+def test_each_congruence_check_refuses_what_the_reference_refuses():
+    # every simplex is its own key but for the ones listed
+    a, b = nondeg(0, 0), nondeg(0, 1)
+    cases = [
+        # (a) one key, degenerate members with different images
+        (standard_simplex(1), {degenerate(a, 0): "x", degenerate(b, 0): "x"},
+         "one key and images"),
+        # (b) two vertices merged, their degeneracies kept apart
+        (standard_simplex(1), {a: "v", b: "v"}, "different keys and one image"),
+        # (c) the edges 01 and 12 merged, their end vertices kept apart
+        (standard_simplex(2), {nondeg(1, 0): "e", nondeg(1, 2): "e"},
+         "face images"),
+    ]
+    for X, table, check in cases:
+        def key(s, table=table):
+            return table.get(s, s)
+
+        with pytest.raises(ValueError, match="not a simplicial congruence"):
+            _reference_quotient(X, key)
+        with pytest.raises(ValueError,
+                           match=f"not a simplicial congruence.*{check}"):
+            quotient_by_key(X, key)
+
+
+def test_collapses_of_parts_sharing_a_vertex_match_the_pushout():
+    # crushing two parts that share a vertex is crushing their union;
+    # the edge 02 joins the two parts, lies in neither, and survives as
+    # a loop at the one point
+    X = standard_simplex(3)
+    dec = Decorated(X, thin=frozenset(X.cells(2)),
+                    marked=frozenset([(1, 0), (1, 1), (1, 3)]))
+    parts = [{0, 1}, {1, 2}]
+    res, qdec = collapse_to_point(dec, parts)
+    assert_same_collapse((res, qdec), _reference_collapse(dec, parts))
+    cells = [c for c in X.all_cells()
+             if any(set(X.labels[c]) <= part for part in parts)]
+    sub, data = subcomplex(X, cells)
+    inc = SimplicialMap(sub, X, data, check=False)
+    push = pushout(to_point(sub), inc)
+    pdec = push_decoration(push, [flat(push.maps[0].source), dec])
+    assert_same_complex(res.complex, push.complex)
+    assert res.maps[2].data == push.maps[1].data
+    assert res.maps[0].data == res.maps[1].data == push.maps[0].data
+    assert (qdec.thin, qdec.marked) == (pdec.thin, pdec.marked)
+    assert res.complex.counts == {0: 2, 1: 4, 2: 4, 3: 1}
 
 
 def test_realize_matches_the_reference(monkeypatch):
@@ -589,4 +673,7 @@ def test_product_and_glue_caps_fail_fast():
         glue([big], [((0, nondeg(0, 0)), (0, nondeg(0, 1)))])
     with pytest.raises(ValueError, match=f"cap {GLUE_CAP}"):
         disjoint_union([_many_vertices(GLUE_CAP // 2 + 1)] * 2)
+    with pytest.raises(ValueError, match=f"{10 ** 6 + 2} cells, "
+                                         f"cap {GLUE_CAP}"):
+        collapse_to_point(flat(big), [{0}, {1}])
     assert time.perf_counter() - t0 < 1.0

@@ -59,12 +59,16 @@ def _reference_chains(P, length):
 
 
 def _assert_chains_match(P):
+    levels = list(P.chain_levels(len(P.elements) + 1))
     longest = 0
-    for k in range(len(P.elements) + 2):
+    for k in range(1, len(P.elements) + 2):
         want = _reference_chains(P, k)
+        got = levels[k - 1] if k <= len(levels) else []
+        assert [tuple(P.elements[i] for i in c) for c in got] == want
         assert P.chains(k) == want
-        if want and k:
+        if want:
             longest = k
+    assert P.chains(0) == _reference_chains(P, 0) == [()]
     assert P.height() == longest
 
 

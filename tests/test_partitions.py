@@ -138,8 +138,8 @@ def test_truncation_idempotent_and_commuting():
         for P in all_posets(size):
             for part in ordered_partitions(P):
                 C = chain_poset(part)
-                flags = [(S,) for S in C.elements]
-                flags += [c for c in C.chains(2)] + [c for c in C.chains(3)]
+                flags = [tuple(C.elements[i] for i in c)
+                         for level in C.chain_levels(3) for c in level]
                 for flag in flags:
                     R = truncate_chain(part, flag, "R")
                     L = truncate_chain(part, flag, "L")
