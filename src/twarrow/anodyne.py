@@ -171,7 +171,8 @@ def _face_vertices(space: SimplicialSet, vertices):
 
 def _chain_cell(space: SimplicialSet, vertices, positions) -> Simplex:
     sx = simplex_by_chain(space, tuple(vertices[p] for p in positions))
-    assert not sx.word, "a strict vertex chain must be nondegenerate"
+    if sx.word:
+        raise CertificateError("a strict vertex chain must be nondegenerate")
     return sx
 
 
@@ -266,11 +267,14 @@ def pivot_certificate(dec: Decorated, family, *, vertices=None,
             steps.append(Step(n=size - 1, i=pos, attach=sx.base))
             stage.add(sx.base)
             missing = space.face(sx, pos)
-            assert not missing.word
+            if missing.word:
+                raise CertificateError(
+                    f"missing face {pos} of {sx.base} is degenerate")
             stage.add(missing.base)
     # the filtration must have filled the whole face
-    assert stage == close_cells(space, [_chain_cell(space, vertices,
-                                                    range(n + 1)).base])
+    if stage != close_cells(space, [_chain_cell(space, vertices,
+                                                range(n + 1)).base]):
+        raise CertificateError("the pivot run does not fill the whole face")
     return Certificate(start, tuple(steps), frozenset(stage))
 
 

@@ -13,13 +13,15 @@ replayable certificate:
   far the staircase deviates from the symmetric ones.
 
 Every run re-derives its starting subcomplex from the dull family and
-asserts it matches what is already present; the composite is then
-rechecked with the independent verifier by the caller or the tests.
+checks it matches what is already present, raising CertificateError
+when it does not; the composite is then rechecked with the independent
+verifier by the caller or the tests.
 """
 
 from __future__ import annotations
 
 from .anodyne import (
+    CertificateError,
     concatenate,
     dull_start_cells,
     pivot_certificate,
@@ -59,7 +61,9 @@ def fibstep1(n: int, i: int):
     _check_range(n, i, FIBSTEP_CAP)
     dec = _ambient(n, i)
     cert = pivot_certificate(dec, q_core_dull_family(n, i))
-    assert set(cert.start) == q_core_extended_cells(n, i)
+    if set(cert.start) != q_core_extended_cells(n, i):
+        raise CertificateError(f"fibstep1({n},{i}) does not start at the "
+                               f"extended core")
     return dec, cert
 
 
@@ -87,13 +91,14 @@ def _run_sequence(dec: Decorated, start, runs, end, name: str):
     certs = []
     for label, verts, family, pivot in runs:
         window = close_cells(space, [simplex_by_chain(space, verts).base])
-        assert stage & window == dull_start_cells(space, verts, family), \
-            f"{label} has an unexpected shape"
+        if stage & window != dull_start_cells(space, verts, family):
+            raise CertificateError(f"{label} has an unexpected shape")
         cert = pivot_certificate(dec, family, vertices=verts, pivot=pivot)
         certs.append(cert)
         stage |= set(cert.end)
     out = concatenate(space, certs, start=start)
-    assert set(out.end) == set(end), f"{name} ends short"
+    if set(out.end) != set(end):
+        raise CertificateError(f"{name} ends short")
     return out
 
 

@@ -19,6 +19,8 @@ from .simplex import (
     face_rule,
     flag_map,
     nondeg,
+    nondeg_row,
+    simplex_on,
 )
 
 Cell = tuple[int, int]
@@ -40,7 +42,9 @@ class SimplicialSet:
         return self.counts.get(dim, 0)
 
     def cells(self, dim: int):
-        return ((dim, i) for i in range(self.n_cells(dim)))
+        """The cells of one dimension, as the shared base tuples of
+        their handles."""
+        return (h.base for h in nondeg_row(dim, self.n_cells(dim)))
 
     def all_cells(self):
         for d in sorted(self.counts):
@@ -71,7 +75,7 @@ class SimplicialSet:
         if word:
             word, i = face_rule(word, i)
             if i is None:
-                return Simplex(word, base)
+                return simplex_on(word, base)
         elif base[0] == 0:
             raise ValueError("a vertex has no faces")
         f = self.faces[base][i]
@@ -119,9 +123,15 @@ class SimplicialSet:
         for p in sorted(self.counts):
             if p > m:
                 break
-            for i in range(self.counts[p]):
-                for w in all_words(m, p):
-                    yield Simplex(w, (p, i))
+            row = nondeg_row(p, self.counts[p])
+            if p == m:
+                yield from row
+                continue
+            words = all_words(m, p)
+            for h in row:
+                b = h.base
+                for w in words:
+                    yield Simplex(w, b)
 
     def nondeg_faces(self, cell: Cell):
         """Base cells of the faces of a nondegenerate simplex."""
@@ -148,19 +158,21 @@ class SimplicialSet:
         for d in self.counts:
             if d >= 1 and not all((d, i) in self.faces for i in range(self.counts[d])):
                 raise ValueError(f"missing face rows in dimension {d}")
-        for cell in self.all_cells():
-            d = cell[0]
+        # vertices and edges have no identities to check, and a vertex
+        # count read from outside may be large
+        for d in sorted(self.counts):
             if d < 2:
                 continue
-            x = nondeg(*cell)
-            for j in range(d + 1):
-                for i in range(j):
-                    left = self.face(self.face(x, j), i)
-                    right = self.face(self.face(x, i), j - 1)
-                    if left != right:
-                        raise ValueError(
-                            f"simplicial identity fails on {cell}: "
-                            f"d_{i} d_{j} = {left} but d_{j - 1} d_{i} = {right}")
+            for x in nondeg_row(d, self.counts[d]):
+                for j in range(d + 1):
+                    for i in range(j):
+                        left = self.face(self.face(x, j), i)
+                        right = self.face(self.face(x, i), j - 1)
+                        if left != right:
+                            raise ValueError(
+                                f"simplicial identity fails on {x.base}: "
+                                f"d_{i} d_{j} = {left} but "
+                                f"d_{j - 1} d_{i} = {right}")
 
     # -- misc ----------------------------------------------------------
 
@@ -187,16 +199,16 @@ def standard_simplex(n: int) -> SimplicialSet:
         raise ValueError(f"standard simplex needs a small dimension: "
                          f"{n}, cap {SIMPLEX_CAP}")
     counts, faces, labels = {}, {}, {}
-    index: dict[tuple, int] = {}
+    index: dict[tuple, Simplex] = {}
     for d in range(n + 1):
         subs = list(itertools.combinations(range(n + 1), d + 1))
         counts[d] = len(subs)
-        for i, s in enumerate(subs):
-            index[s] = i
-            labels[(d, i)] = s
+        for h, s in zip(nondeg_row(d, len(subs)), subs):
+            index[s] = h
+            labels[h.base] = s
             if d >= 1:
-                faces[(d, i)] = tuple(
-                    nondeg(d - 1, index[s[:k] + s[k + 1:]]) for k in range(d + 1))
+                faces[h.base] = tuple(
+                    index[s[:k] + s[k + 1:]] for k in range(d + 1))
     return SimplicialSet(counts, faces, labels)
 
 
@@ -243,8 +255,7 @@ def subcomplex(X: SimplicialSet, keep) -> tuple[SimplicialSet, dict[Cell, Simple
         by_dim.setdefault(c[0], []).append(c)
     old_to_new: dict[Cell, Cell] = {}
     for d, cs in by_dim.items():
-        for i, c in enumerate(cs):
-            old_to_new[c] = (d, i)
+        old_to_new.update(zip(cs, (h.base for h in nondeg_row(d, len(cs)))))
     counts = {d: len(cs) for d, cs in by_dim.items()}
     faces, labels, incl = {}, {}, {}
     for old, new in old_to_new.items():
@@ -253,7 +264,7 @@ def subcomplex(X: SimplicialSet, keep) -> tuple[SimplicialSet, dict[Cell, Simple
             labels[new] = X.labels[old]
         if old[0] >= 1:
             faces[new] = tuple(
-                Simplex(f.word, old_to_new[f.base]) for f in X.faces[old])
+                simplex_on(f.word, old_to_new[f.base]) for f in X.faces[old])
     return SimplicialSet(counts, faces, labels), incl
 
 

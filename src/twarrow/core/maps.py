@@ -7,7 +7,8 @@ import functools
 import itertools
 
 from .complex import Cell, SimplicialSet, point
-from .simplex import Simplex, constant_simplex, degenerate_word, nondeg
+from .simplex import (Simplex, constant_simplex, degenerate_word, nondeg,
+                      simplex_on)
 
 
 class SimplicialMap:
@@ -22,7 +23,10 @@ class SimplicialMap:
             self.validate()
 
     def __call__(self, x: Simplex) -> Simplex:
-        return degenerate_word(self.data[x.base], x.word)
+        word, base = x
+        if not word:
+            return self.data[base]
+        return degenerate_word(self.data[base], word)
 
     def validate(self) -> None:
         for c in self.source.all_cells():
@@ -86,7 +90,7 @@ def simplex_by_chain(Y: SimplicialSet, chain) -> Simplex:
         else:
             stripped.append(v)
     cell = Y.cell_with_label(tuple(stripped))
-    return Simplex(tuple(sorted(word, reverse=True)), cell)
+    return simplex_on(tuple(sorted(word, reverse=True)), cell)
 
 
 def unwrap_label(lab):
@@ -183,11 +187,14 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
     sorted cell order.
 
     The order, faces and look-ahead lists are a plan built once per A
-    and set of fixed cells.  The search runs on an explicit stack, so
+    and set of fixed cells.  It is kept for the next search from A,
+    except in an injective search: only ``find_isomorphism`` asks for
+    one, once per source.  The search runs on an explicit stack, so
     deep complexes do not hit the recursion limit.
     """
     fixed = fixed or {}
-    cells, dims, faces, given, free, ahead = _plan(A, frozenset(fixed))
+    plan = _plan.__wrapped__ if injective else _plan
+    cells, dims, faces, given, free, ahead = plan(A, frozenset(fixed))
     img: list = [None] * len(cells)
     for p in given:
         img[p] = fixed[cells[p]]

@@ -28,7 +28,9 @@ from .simplex import (
     face_rule,
     flag_map,
     nondeg,
+    nondeg_row,
     op_word,
+    simplex_on,
 )
 
 
@@ -36,7 +38,7 @@ from .simplex import (
 
 
 def op_simplex(x: Simplex) -> Simplex:
-    return Simplex(op_word(x.word, x.dim), x.base)
+    return simplex_on(op_word(x.word, x.dim), x.base)
 
 
 def opposite(X: SimplicialSet) -> SimplicialSet:
@@ -69,7 +71,7 @@ def pair_simplex(index: dict[tuple[Simplex, Simplex], Cell],
     common, wx, wy = _split_shared(sx.word, sy.word)
     if common:
         sx, sy = Simplex(wx, sx.base), Simplex(wy, sy.base)
-    return Simplex(common, index[(sx, sy)])
+    return simplex_on(common, index[(sx, sy)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,7 +134,7 @@ def product(X: SimplicialSet, Y: SimplicialSet,
                 words = shuffle_words(p, q, m)
                 for cx in X.cells(p):
                     for cy in Y.cells(q):
-                        found.extend((Simplex(wx, cx), Simplex(wy, cy))
+                        found.extend((simplex_on(wx, cx), simplex_on(wy, cy))
                                      for wx, wy in words)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple[Simplex, Simplex], Cell] = {}
@@ -141,9 +143,9 @@ def product(X: SimplicialSet, Y: SimplicialSet,
         found = per_dim[m]
         found.sort()
         counts[m] = len(found)
-        for i, pair in enumerate(found):
-            index[pair] = (m, i)
-            pairs[(m, i)] = pair
+        for h, pair in zip(nondeg_row(m, len(found)), found):
+            index[pair] = h.base
+            pairs[h.base] = pair
 
     labelled = (all(c in X.labels for c in X.cells(0)) and
                 all(c in Y.labels for c in Y.cells(0)))
@@ -195,12 +197,13 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> JoinData:
         es = sorted(entries[m], key=lambda e: (e[0] is None, e[0] or (0, 0),
                                                e[1] is None, e[1] or (0, 0)))
         counts[m] = len(es)
-        for i, e in enumerate(es):
-            index[e] = (m, i)
-            parts[(m, i)] = e
+        for h, e in zip(nondeg_row(m, len(es)), es):
+            index[e] = h.base
+            parts[h.base] = e
 
     faces, labels = {}, {}
-    for (m, i), (cx, cy) in parts.items():
+    for cell, (cx, cy) in parts.items():
+        m = cell[0]
         lab_parts = []
         if cx is not None and X.labels.get(cx) is not None:
             lab_parts.extend(X.labels[cx] if isinstance(X.labels[cx], tuple)
@@ -210,7 +213,7 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> JoinData:
                              else (Y.labels[cy],))
         if lab_parts and ((cx is None or cx in X.labels) and
                           (cy is None or cy in Y.labels)):
-            labels[(m, i)] = tuple(lab_parts)
+            labels[cell] = tuple(lab_parts)
         if m == 0:
             continue
         a = cx[0] if cx is not None else -1
@@ -220,17 +223,17 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> JoinData:
         for k in range(m + 1):
             if k <= a:
                 if a == 0:
-                    row.append(Simplex((), index[(None, cy)]))
+                    row.append(nondeg(*index[(None, cy)]))
                 else:
                     f = X.faces[cx][k]
-                    row.append(Simplex(f.word, index[(f.base, cy)]))
+                    row.append(simplex_on(f.word, index[(f.base, cy)]))
             elif cy[0] == 0:
-                row.append(Simplex((), index[(cx, None)]))
+                row.append(nondeg(*index[(cx, None)]))
             else:
                 f = Y.faces[cy][k - a - 1]
                 word = tuple(w + a + 1 for w in f.word)
-                row.append(Simplex(word, index[(cx, f.base)]))
-        faces[(m, i)] = tuple(row)
+                row.append(simplex_on(word, index[(cx, f.base)]))
+        faces[cell] = tuple(row)
 
     return JoinData(SimplicialSet(counts, faces, labels), parts, index)
 
@@ -360,11 +363,11 @@ def glue(pieces: list[SimplicialSet], relations,
                 else:
                     groups.setdefault(root, []).append((p, c))
         classes[m] = []
-        for k, members in enumerate(groups.values()):
-            cell = (m, k)
+        for h, members in zip(nondeg_row(m, len(groups)), groups.values()):
+            cell = h.base
             classes[m].append([(p, nondeg(*c)) for p, c in members])
             for mem in members:
-                nf[mem] = nondeg(*cell)
+                nf[mem] = h
             for p, c in members:
                 if c in pieces[p].labels:
                     labels[cell] = pieces[p].labels[c]
@@ -475,7 +478,7 @@ def quotient_by_key(X: SimplicialSet, key_fn,
                 want = wanted[k]
             else:
                 if k not in new:
-                    new[k] = (m, len(new))
+                    new[k] = nondeg(m, len(new)).base
                     classes[m].append([])
                     if m:
                         faces[new[k]] = row

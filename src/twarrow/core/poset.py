@@ -7,7 +7,7 @@ import threading
 from collections import OrderedDict
 
 from .complex import SimplicialSet
-from .simplex import nondeg
+from .simplex import Simplex, nondeg_row
 
 
 def _bits(mask: int) -> list[int]:
@@ -188,17 +188,16 @@ def _build_nerve(P: Poset, top_dim: int | None) -> SimplicialSet:
                              f"cells, cap {NERVE_CAP}")
         levels.append(level)
     counts, faces, labels = {}, {}, {}
-    index: dict[tuple, int] = {}
+    index: dict[tuple, Simplex] = {}
     els = P.elements
     for d, level in enumerate(levels):
         counts[d] = len(level)
-        for i, chain in enumerate(level):
-            index[chain] = i
-            labels[(d, i)] = tuple(els[k] for k in chain)
+        for h, chain in zip(nondeg_row(d, len(level)), level):
+            index[chain] = h
+            labels[h.base] = tuple(els[k] for k in chain)
             if d >= 1:
-                faces[(d, i)] = tuple(
-                    nondeg(d - 1, index[chain[:k] + chain[k + 1:]])
-                    for k in range(d + 1))
+                faces[h.base] = tuple(
+                    index[chain[:k] + chain[k + 1:]] for k in range(d + 1))
     return SimplicialSet(counts, faces, labels)
 
 

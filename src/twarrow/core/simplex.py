@@ -10,11 +10,22 @@ over a base of dimension p is equivalently the set of "collapse
 positions" of the monotone surjection [m] ->> [p] it encodes, and in the
 canonical form the word letters literally are the collapse positions in
 decreasing order.  Most of the calculus below exploits that.
+
+A nondegenerate simplex has one shared handle: ``nondeg(d, i)`` returns
+the same ``Simplex`` object, with the same ``(d, i)`` base tuple, every
+time, and the constructors put those handles in their face tables, maps
+and cell lists.  That is a saving of memory only.  Handles compare by
+value, like any tuple, so a handle built directly with ``Simplex`` is
+equal to the shared one; compare with ``==``, never with ``is``.  The
+table holds, per dimension, the handles up to the largest index asked
+for, at most ``HANDLE_CAP`` of them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
 from typing import NamedTuple
 
 
@@ -37,8 +48,59 @@ class Simplex(NamedTuple):
         return bool(self.word)
 
 
+# nondeg's table: row d holds the handles of (d, 0), (d, 1), ... up to
+# the largest index asked for.  Rows only grow, under the lock, so an
+# entry once there is the right one for every thread.
+_handles: dict[int, list[Simplex]] = {}
+_handles_lock = threading.Lock()
+
+# indices from here on get a handle of their own; no constructor builds
+# more cells than this in one dimension
+HANDLE_CAP = 100_000
+
+
 def nondeg(dim: int, idx: int) -> Simplex:
-    return Simplex((), (dim, idx))
+    """The shared handle of the nondegenerate simplex (dim, idx).
+
+    The table grows to the largest index asked for in each dimension,
+    at most ``HANDLE_CAP`` handles a dimension; from there on a new,
+    equal handle is returned.  A negative dimension or index raises a
+    ValueError.  Readers of outside input range-check their indices
+    before they ask, or build their handles with ``Simplex``.
+    """
+    if idx >= 0:
+        try:
+            return _handles[dim][idx]
+        except (KeyError, IndexError):
+            pass
+    if dim < 0 or idx < 0:
+        raise ValueError(f"no cell ({dim}, {idx}): negative dimension or "
+                         f"index")
+    if idx >= HANDLE_CAP:
+        return Simplex((), (dim, idx))
+    with _handles_lock:
+        row = _handles.setdefault(dim, [])
+        row.extend([Simplex((), (dim, i)) for i in range(len(row), idx + 1)])
+        return row[idx]
+
+
+def nondeg_row(dim: int, n: int):
+    """The handles of (dim, 0), ..., (dim, n - 1), in order: the shared
+    ones, then, from ``HANDLE_CAP`` on, new ones made as they are
+    reached, so a large count read from outside holds no list of them
+    all."""
+    shared = min(n, HANDLE_CAP)
+    if shared <= 0:
+        return iter(())
+    nondeg(dim, shared - 1)
+    return itertools.chain(_handles[dim][:shared],
+                           (Simplex((), (dim, i))
+                            for i in range(HANDLE_CAP, n)))
+
+
+def simplex_on(word: tuple[int, ...], base: tuple[int, int]) -> Simplex:
+    """s_word (base), the shared handle of base when the word is empty."""
+    return Simplex(word, base) if word else nondeg(*base)
 
 
 def check_word(word: tuple[int, ...], base_dim: int) -> None:
@@ -58,7 +120,7 @@ def collapses_to_word(collapses) -> tuple[int, ...]:
 def constant_simplex(vertex: tuple[int, int], d: int) -> Simplex:
     """The totally degenerate d-simplex at a vertex."""
     assert vertex[0] == 0
-    return Simplex(tuple(range(d - 1, -1, -1)), vertex)
+    return simplex_on(tuple(range(d - 1, -1, -1)), vertex)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +192,7 @@ def face_stays_degenerate(x: Simplex, i: int) -> Simplex | None:
     the flag map of size at least two, i.e. i or i-1 is a word letter.
     """
     word, k = face_rule(x.word, i)
-    return Simplex(word, x.base) if k is None else None
+    return simplex_on(word, x.base) if k is None else None
 
 
 def strip_collapse(x: Simplex, j: int) -> Simplex:
@@ -146,13 +208,12 @@ def op_word(word: tuple[int, ...], dim: int) -> tuple[int, ...]:
     return collapses_to_word({dim - 1 - t for t in word})
 
 
-def all_words(m: int, base_dim: int):
+@functools.lru_cache(maxsize=None)
+def all_words(m: int, base_dim: int) -> tuple[tuple[int, ...], ...]:
     """All canonical words of simplices of dimension m over a base of
     dimension base_dim, i.e. all (m - base_dim)-subsets of [0, m-1]."""
-    from itertools import combinations
-
     k = m - base_dim
     if k < 0:
-        return
-    for c in combinations(range(m), k):
-        yield tuple(sorted(c, reverse=True))
+        return ()
+    return tuple(tuple(sorted(c, reverse=True))
+                 for c in itertools.combinations(range(m), k))

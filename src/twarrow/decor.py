@@ -79,8 +79,12 @@ def sharp(X: SimplicialSet) -> Decorated:
 
 def preserves_decoration(f: SimplicialMap, src: Decorated, tgt: Decorated) -> bool:
     # same cell tables, not necessarily the same objects
-    assert f.source.counts == src.space.counts
-    assert f.target.counts == tgt.space.counts
+    if f.source.counts != src.space.counts:
+        raise ValueError("the map's source and its decoration have "
+                         "different cell counts")
+    if f.target.counts != tgt.space.counts:
+        raise ValueError("the map's target and its decoration have "
+                         "different cell counts")
     for c in src.thin:
         if not tgt.is_thin(f(nondeg(*c))):
             return False
@@ -185,8 +189,8 @@ def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
             if bits:
                 image[c] = constant_simplex(point_at(bits).base, m)
                 continue
-            cell = (m, len(classes[m]))
-            image[c] = nondeg(*cell)
+            image[c] = nondeg(m, len(classes[m]))
+            cell = image[c].base
             classes[m].append([(last, nondeg(*c))])
             faces[cell] = tuple(degenerate_word(image[f.base], f.word)
                                 for f in row)

@@ -26,7 +26,7 @@ from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import op_simplex, opposite, pair_simplex, product
 from .core.poset import Poset, nerve
 from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
-                           strip_collapse)
+                           nondeg_row, simplex_on, strip_collapse)
 from .decor import (Decorated, collapse_to_point, decorated_subcomplex,
                     op_decoration)
 from .zoo import (VertexCosimplicial, boxplus_complex, cone_inclusion,
@@ -63,7 +63,7 @@ class WitnessComplex:
             phi = [v if v <= j else v - 1 for v in phi]
             m -= 1
         word = collapses_to_word({t for t in range(n) if phi[t] == phi[t + 1]})
-        return Simplex(word, self.cell_of[x])
+        return simplex_on(word, self.cell_of[x])
 
 
 def _collapse_index(F: VertexCosimplicial, x: Simplex, n: int) -> int | None:
@@ -96,10 +96,10 @@ def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,
         found.sort()
         if found:
             counts[n] = len(found)
-        for i, x in enumerate(found):
-            witness[(n, i)] = x
-            cell_of[x] = (n, i)
-            labels[(n, i)] = label(
+        for h, x in zip(nondeg_row(n, len(found)), found):
+            witness[h.base] = x
+            cell_of[x] = h.base
+            labels[h.base] = label(
                 tuple(map(unwrap_label, space.vertex_labels(x))), n)
     if len(set(labels.values())) < len(labels):
         labels = {}

@@ -209,10 +209,13 @@ def ladder_top_chain(n: int, r: int, s: int, summand: int):
 
 
 def top_cell_cells(L: Ladder, chain) -> set[Cell]:
-    """All cells of the closed simplex spanned by a chain."""
-    members = set(chain)
-    return {c for c in L.space.all_cells()
-            if set(L.space.labels[c]) <= members}
+    """All cells of the closed simplex spanned by a chain: one per
+    nonempty sub-chain, since every cell is labelled by its ascending
+    chain."""
+    chain = tuple(chain)
+    return {L.space.cell_with_label(sub)
+            for k in range(1, len(chain) + 1)
+            for sub in itertools.combinations(chain, k)}
 
 
 def band_cells(n: int, L: Ladder, summand: int, predicate) -> set[Cell]:

@@ -1,8 +1,15 @@
 """Tests for the generated filling certificates."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from twarrow.anodyne import dual_certificate, verify_certificate
+import twarrow
+from twarrow import anodyne, certificates
+from twarrow.anodyne import (CertificateError, dual_certificate,
+                             verify_certificate)
 from twarrow.certificates import (
     fibstep1,
     fibstep2,
@@ -115,3 +122,49 @@ def test_xi_certificates_verify():
 def test_xi_cap():
     with pytest.raises(ValueError):
         xi_certificate(3)
+
+
+def test_certificate_checks_raise_certificate_errors(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "q_core_extended_cells",
+                  lambda n, i: set())
+        with pytest.raises(CertificateError, match="extended core"):
+            fibstep1(1, 1)
+        with pytest.raises(CertificateError, match=r"fibstep2\(1,1\) ends"):
+            fibstep2(1, 1)
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "q_core_cells", lambda n, i: set())
+        with pytest.raises(CertificateError, match="unexpected shape"):
+            fibstep2(1, 1)
+    real = anodyne.pivot_strata
+
+    def short(n, family, i):
+        strata = real(n, family, i)
+        strata.pop(max(strata))
+        return strata
+
+    with monkeypatch.context() as m:
+        m.setattr(anodyne, "pivot_strata", short)
+        with pytest.raises(CertificateError, match="whole face"):
+            fibstep1(1, 1)
+
+
+def test_decoration_guard_holds_under_optimisation():
+    # python -O strips asserts; the count guards must still refuse
+    code = (
+        "from twarrow.core import SimplicialMap, standard_simplex\n"
+        "from twarrow.decor import flat, preserves_decoration\n"
+        "f = SimplicialMap.identity(standard_simplex(1))\n"
+        "try:\n"
+        "    preserves_decoration(f, flat(standard_simplex(2)), "
+        "flat(standard_simplex(1)))\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n")
+    src = os.path.dirname(os.path.dirname(twarrow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "refused: the map's source" in out.stdout

@@ -370,6 +370,14 @@ def test_first_isomorphism_matches_the_scan_after_renumbering():
             assert list(got.data.items()) == list(ref.data.items())
 
 
+def test_isomorphism_search_leaves_the_plan_cache_alone():
+    X = nerve(Poset("abc", [("a", "b"), ("a", "c")]))
+    enumerate_homs(standard_simplex(1), X)
+    before = maps._plan.cache_info()
+    assert find_isomorphism(X, _renumbered(X, random.Random(3))) is not None
+    assert maps._plan.cache_info() == before
+
+
 def test_non_isomorphic_pair_with_equal_counts():
     by_counts = {}
     for P in all_posets(4):

@@ -294,6 +294,28 @@ def test_ladder_top_chains_and_bands():
             assert core_cells(L, summand) == zero
 
 
+def _scanned_top_cell_cells(L, chain):
+    """The cells whose labels lie in the chain, by a scan of them all."""
+    members = set(chain)
+    return {c for c in L.space.all_cells()
+            if set(L.space.labels[c]) <= members}
+
+
+def test_top_cell_cells_match_the_scan():
+    checked = 0
+    for n in range(3):
+        L = ladder_complex(n)
+        for summand in (1, 2):
+            for r in range(n + 1):
+                for s in range(n + 1):
+                    chain = ladder_top_chain(n, r, s, summand)
+                    got = top_cell_cells(L, chain)
+                    assert got == _scanned_top_cell_cells(L, chain)
+                    assert len(got) == 2 ** len(chain) - 1
+                    checked += 1
+    assert checked == 28
+
+
 def test_core_comparison_is_isomorphism():
     for n in range(2):
         f = core_comparison(n)
