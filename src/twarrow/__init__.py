@@ -20,3 +20,11 @@ import os
 DIM_CAP = int(os.environ.get("TWARROW_DIM_CAP", "8"))
 
 __version__ = "0.1.0"
+
+
+def check_max_dim(max_dim: int) -> None:
+    """Refuse a depth outside 0..DIM_CAP with a ValueError that names
+    the bound."""
+    if not 0 <= max_dim <= DIM_CAP:
+        raise ValueError(f"max_dim {max_dim} outside 0..{DIM_CAP}, the "
+                         f"dimension cap")

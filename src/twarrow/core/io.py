@@ -17,7 +17,7 @@ import functools
 import json
 
 from .complex import SimplicialSet
-from .simplex import Simplex
+from .simplex import HANDLE_CAP, Simplex
 
 
 def encode_label(lab):
@@ -80,10 +80,14 @@ def complex_to_json(X: SimplicialSet) -> dict:
 
 @reader("complex")
 def complex_from_json(obj: dict) -> SimplicialSet:
-    counts, faces, labels = {}, {}, {}
-    for dstr, entry in obj["simplices"].items():
-        d = int(dstr)
-        counts[d] = entry["count"]
+    simplices = {int(d): entry for d, entry in obj["simplices"].items()}
+    counts = {d: entry["count"] for d, entry in simplices.items()}
+    for d, n in counts.items():
+        if n > HANDLE_CAP:
+            raise ValueError(f"{n} cells in dimension {d}, above the cap "
+                             f"HANDLE_CAP = {HANDLE_CAP}")
+    faces, labels = {}, {}
+    for d, entry in simplices.items():
         if d >= 1:
             for i, row in enumerate(entry["faces"]):
                 faces[(d, i)] = tuple(

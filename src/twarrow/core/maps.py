@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .complex import Cell, SimplicialSet, point
 from .simplex import (Simplex, constant_simplex, degenerate_word, nondeg,
@@ -186,31 +187,29 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
     Yields each complete assignment as a new dict, cell to simplex, in
     sorted cell order.
 
-    The order, faces and look-ahead lists are a plan built once per A
-    and set of fixed cells.  It is kept for the next search from A,
-    except in an injective search: only ``find_isomorphism`` asks for
-    one, once per source.  The search runs on an explicit stack, so
-    deep complexes do not hit the recursion limit.
+    The order, key getters and look-ahead lists are a plan built once
+    per A and set of fixed cells, so reading a cell's key costs one
+    ``operator.itemgetter`` call when its faces are nondegenerate.  The
+    plan is kept for the next search from A, except in an injective
+    search: only ``find_isomorphism`` asks for one, once per source.
+    The search runs on an explicit stack, so deep complexes do not hit
+    the recursion limit.
     """
     fixed = fixed or {}
     plan = _plan.__wrapped__ if injective else _plan
-    cells, dims, faces, given, free, ahead = plan(A, frozenset(fixed))
+    cells, dims, keys, given, free, ahead = plan(A, frozenset(fixed))
     img: list = [None] * len(cells)
     for p in given:
         img[p] = fixed[cells[p]]
 
-    def want(p):
-        return tuple([degenerate_word(img[q], w) if w else img[q]
-                      for q, w in faces[p]])
-
     def live(p):
-        return index[dims[p]].get(want(p))
+        return index[dims[p]].get(keys[p](img))
 
     # each fixed cell as the search would check it, then the free cells
     # whose keys the fixed images alone decide
     for p in given:
         s = img[p]
-        if s not in index[dims[p]].get(want(p), ()) or \
+        if s not in index[dims[p]].get(keys[p](img), ()) or \
                 (allowed is not None and not allowed(cells[p], s)):
             return
     for q in ahead[-1]:
@@ -228,7 +227,7 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             yield dict(zip(cells, img))
         else:
             p = free[k]
-            cands = index[dims[p]].get(want(p), ())
+            cands = index[dims[p]].get(keys[p](img), ())
             if allowed is not None:
                 c = cells[p]
                 cands = [s for s in cands if allowed(c, s)]
@@ -244,7 +243,11 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
                 if injective and s in used:
                     continue
                 img[p] = s
-                if all(live(q) for q in checks):
+                # keep s unless a cell checked at this level has no key
+                for q in checks:
+                    if not live(q):
+                        break
+                else:
                     break
             else:
                 frames.pop()
@@ -258,6 +261,23 @@ def search(A: SimplicialSet, index: dict[int, dict], allowed=None,
             return
 
 
+def tuple_getter(positions):
+    """The function reading a sequence's entries at ``positions``, in
+    order, as a tuple: an ``operator.itemgetter`` when there are two or
+    more of them."""
+    if len(positions) >= 2:
+        return operator.itemgetter(*positions)
+    if positions:
+        (q,) = positions
+        return lambda xs: (xs[q],)
+    return lambda xs: ()
+
+
+def _word_key(faces, img):
+    return tuple([degenerate_word(img[q], w) if w else img[q]
+                  for q, w in faces])
+
+
 @functools.lru_cache(maxsize=4)
 def _plan(A: SimplicialSet, fixed: frozenset):
     """The plan of ``search`` for A with the cells ``fixed`` given,
@@ -265,20 +285,27 @@ def _plan(A: SimplicialSet, fixed: frozenset):
     plans are kept and shared, so the squares against one inclusion
     build theirs once.
 
-    ``cells[p]``, ``dims[p]`` and ``faces[p]``, pairs (position, word),
-    describe the cell at p.  ``given`` lists the positions of the fixed
-    cells and ``free`` the others, one per level of the search.
-    ``ahead[k]`` lists, in order, the free cells from level k + 2 on
-    whose last free face sits at level k; ``ahead[-1]`` lists those
-    from level 1 on whose faces are all fixed.
+    ``cells[p]`` and ``dims[p]`` describe the cell at p, and
+    ``keys[p]`` reads its key, the tuple of the images its faces force,
+    off the list of images by position.  For a cell whose faces are all
+    nondegenerate, as every face of a horn or a simplex is, that is an
+    ``operator.itemgetter`` over the face positions; otherwise each
+    face's word is applied to its image.  ``given`` lists the positions
+    of the fixed cells and ``free`` the others, one per level of the
+    search.  ``ahead[k]`` lists, in order, the free cells from level
+    k + 2 on whose last free face sits at level k; ``ahead[-1]`` lists
+    those from level 1 on whose faces are all fixed.
     """
     cells = tuple(sorted(A.all_cells()))
     pos = {c: p for p, c in enumerate(cells)}
     if not fixed <= pos.keys():
         raise ValueError(f"fixed cells {sorted(fixed - pos.keys())} "
                          f"are not cells of the source")
-    faces = tuple([tuple([(pos[b], w) for w, b in A.faces.get(c, ())])
-                   for c in cells])
+    faces = [tuple([(pos[b], w) for w, b in A.faces.get(c, ())])
+             for c in cells]
+    keys = tuple([functools.partial(_word_key, fs)
+                  if any(w for _, w in fs)
+                  else tuple_getter([q for q, _ in fs]) for fs in faces])
     given = tuple(sorted(pos[c] for c in fixed))
     free = tuple([p for p, c in enumerate(cells) if c not in fixed])
     level = [-1] * len(cells)
@@ -295,4 +322,4 @@ def _plan(A: SimplicialSet, fixed: frozenset):
             if k > m + 1:
                 ahead[m].append(p)
     dims = tuple(c[0] for c in cells)
-    return cells, dims, faces, given, free, ahead
+    return cells, dims, keys, given, free, ahead

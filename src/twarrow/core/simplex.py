@@ -55,7 +55,8 @@ _handles: dict[int, list[Simplex]] = {}
 _handles_lock = threading.Lock()
 
 # indices from here on get a handle of their own; no constructor builds
-# more cells than this in one dimension
+# more cells than this in one dimension, and complex_from_json refuses
+# a document that lists more
 HANDLE_CAP = 100_000
 
 

@@ -22,13 +22,15 @@ so a failed report is re-checkable by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import DIM_CAP
+from . import check_max_dim
 from .core.complex import (SimplicialSet, boundary_cells, horn_cells,
                            simplex_cell, standard_simplex, subcomplex)
-from .core.maps import SimplicialMap, enumerate_homs, face_index, search
+from .core.maps import (SimplicialMap, enumerate_homs, face_index, search,
+                         tuple_getter)
 from .core.simplex import Simplex, degenerate_word, nondeg
 from .decor import Decorated
 
@@ -42,6 +44,13 @@ class LiftingProblem:
     A lift is a map B -> X restricting to ``top`` and projecting to
     ``bottom``.  Cells of B listed in ``marked_cells`` must go to marked
     edges of ``dec``; that encodes lifting in the marked category.
+
+    Construction checks that ``incl`` is an inclusion, once per
+    inclusion object, and that the square commutes on A's maximal cells
+    (a horn's facets).  That is the whole square when ``top`` and
+    ``bottom`` are simplicial.  On any input, ``search`` checks every
+    cell the top map fixes before it looks for a lift, so a square that
+    fails at a lower cell has none.
     """
 
     incl: SimplicialMap
@@ -55,22 +64,14 @@ class LiftingProblem:
         self.marked_cells = frozenset(self.marked_cells)
         if self.marked_cells and self.dec is None:
             raise ValueError("marked cells need a decoration to check against")
-        # the left leg is an inclusion: distinct nondegenerate images,
-        # which the search takes as fixed cells of B
-        for a, s in self.incl.data.items():
-            if s.word:
-                raise ValueError(f"the left leg sends {a} to a degenerate "
-                                 f"simplex")
-        if len(set(self.incl.data.values())) < len(self.incl.data):
-            raise ValueError("the left leg sends two cells to one")
-        # p(top(a)) == bottom(incl(a)) on every cell a of A, read off
-        # the maps' data
+        # p(top(a)) == bottom(incl(a)) on A's maximal cells, read off the
+        # maps' data; for simplicial maps the other cells follow, and
+        # the search checks every cell the top fixes anyway
         top, p = self.top.data, self.p.data
         incl, bottom = self.incl.data, self.bottom.data
-        for a in self.incl.source.all_cells():
-            t, i = top[a], incl[a]
-            if degenerate_word(p[t.base], t.word) != \
-                    degenerate_word(bottom[i.base], i.word):
+        for a in _maximal_cells(self.incl):
+            t = top[a]
+            if degenerate_word(p[t.base], t.word) != bottom[incl[a].base]:
                 raise ValueError(f"the square does not commute at {a}")
 
     def forced(self) -> dict:
@@ -88,6 +89,23 @@ class LiftingProblem:
                    for c in self.incl.target.all_cells())
 
 
+@lru_cache(maxsize=8)
+def _maximal_cells(incl: SimplicialMap) -> tuple:
+    """The cells of A that are no face of another, once ``incl`` is
+    checked to be an inclusion: distinct nondegenerate images, which
+    the search takes as fixed cells of B.  Kept per inclusion object,
+    so the squares against one inclusion check it once."""
+    for a, s in incl.data.items():
+        if s.word:
+            raise ValueError(f"the left leg sends {a} to a degenerate "
+                             f"simplex")
+    if len(set(incl.data.values())) < len(incl.data):
+        raise ValueError("the left leg sends two cells to one")
+    A = incl.source
+    below = {f.base for fs in A.faces.values() for f in fs}
+    return tuple(a for a in A.all_cells() if a not in below)
+
+
 def iter_lifts(prob: LiftingProblem):
     """All lifts of the square, by backtracking in cell order.
 
@@ -100,12 +118,15 @@ def iter_lifts(prob: LiftingProblem):
     demands it.
     """
     B, X = prob.incl.target, prob.p.source
-    bottom = prob.bottom.data
+    p, bottom = prob.p.data, prob.bottom.data
+    marked, dec = prob.marked_cells, prob.dec
 
     def allowed(c, s):
-        if prob.p(s) != bottom[c]:
+        word, base = s
+        if (degenerate_word(p[base], word) if word else p[base]) != \
+                bottom[c]:
             return False
-        return c not in prob.marked_cells or prob.dec.is_marked(s)
+        return c not in marked or dec.is_marked(s)
 
     index = {d: face_index(X, d) for d in B.counts}
     for assign in search(B, index, allowed, fixed=prob.forced()):
@@ -129,11 +150,6 @@ class FibrationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _cap(max_dim: int) -> None:
-    if max_dim > DIM_CAP:
-        raise ValueError(f"max_dim {max_dim} above the dimension cap {DIM_CAP}")
 
 
 def _simplex_inclusion(n: int, cells) -> SimplicialMap:
@@ -170,18 +186,37 @@ def _facet_cells(incl: SimplicialMap):
     return out
 
 
+@lru_cache(maxsize=8)
+def _bottom_path(D: SimplicialSet) -> tuple:
+    """The cells of the standard simplex D, and the steps that give
+    each cell below the top its image: triples (position, parent
+    position, i) in order, the cell being d_i of the parent.  The
+    parent is the first cell above it that has it as a face, counting
+    down from the top cell; its image is set by an earlier step."""
+    cells = tuple(D.all_cells())
+    pos = {c: k for k, c in enumerate(cells)}
+    seen = {len(cells) - 1}
+    steps = []
+    for k in reversed(range(len(cells))):
+        for i, f in enumerate(D.faces.get(cells[k], ())):
+            q = pos[f.base]
+            if q not in seen:
+                seen.add(q)
+                steps.append((q, k, i))
+    return cells, tuple(steps)
+
+
 def _bottom_map(D: SimplicialSet, Y: SimplicialSet, s: Simplex) -> SimplicialMap:
     """The map from the standard simplex D to Y sending its top cell to
-    s, built top-down from the face table: the faces of a standard
-    simplex are nondegenerate cells, and the first cell reached above
-    each one sets its image to Y's face of that cell's image."""
-    cells = list(D.all_cells())
-    img = {cells[-1]: s}
-    for c in reversed(cells):
-        for i, f in enumerate(D.faces.get(c, ())):
-            if f.base not in img:
-                img[f.base] = Y.face(img[c], i)
-    return SimplicialMap(D, Y, {c: img[c] for c in cells}, check=False)
+    s, built top-down along D's path: one face in Y per cell below the
+    top, taken of its parent's image."""
+    cells, steps = _bottom_path(D)
+    img = [None] * len(cells)
+    img[-1] = s
+    face = Y.face
+    for q, k, i in steps:
+        img[q] = face(img[k], i)
+    return SimplicialMap(D, Y, dict(zip(cells, img)), check=False)
 
 
 def _squares(p: SimplicialMap, incl: SimplicialMap):
@@ -189,24 +224,32 @@ def _squares(p: SimplicialMap, incl: SimplicialMap):
     of tops to one lifting problem per square with one of those tops.
 
     A bottom is a top-dimensional simplex of Y whose faces at the
-    facets A contains are the images of the top there; the index of
-    those is built once here from Y's face index, and each key lists
-    its simplices in the order of ``Y.simplices``.
+    facets A contains are the images of the top there.  The index of
+    those is built once here from Y's face index, each key read with
+    one ``operator.itemgetter``; a key that gathers several of its
+    entries lists their simplices in the order of ``Y.simplices``,
+    as each entry already does.
     """
     D, Y = incl.target, p.target
     n = D.top_dim
     fc = _facet_cells(incl)
+    facets = tuple_getter([k for k, _ in fc])
     index: dict = {}
     for faces, simps in face_index(Y, n).items():
-        index.setdefault(tuple(faces[k] for k, _ in fc), []).extend(simps)
-    for simps in index.values():
-        # base cell, then the collapse set in lexicographic order
-        simps.sort(key=lambda s: (s.base, s.word[::-1]))
+        index.setdefault(facets(faces), []).append(simps)
+    for key, lists in index.items():
+        if len(lists) == 1:
+            index[key] = lists[0]
+        else:
+            # base cell, then the collapse set in lexicographic order
+            index[key] = sorted(itertools.chain.from_iterable(lists),
+                                key=lambda s: (s.base, s.word[::-1]))
+    corner = [a for _, a in fc]
 
     def squares(tops):
         for top in tops:
-            key = tuple(p(top.data[a]) for _, a in fc)
-            for s in index.get(key, []):
+            key = tuple([p(top.data[a]) for a in corner])
+            for s in index.get(key, ()):
                 yield LiftingProblem(incl, p, top, _bottom_map(D, Y, s))
     return squares
 
@@ -238,7 +281,7 @@ def _inner_groups(p: SimplicialMap, max_dim: int):
 
 def inner_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against every inner horn square up to max_dim."""
-    _cap(max_dim)
+    check_max_dim(max_dim)
     return _verdict("inner-fibration", max_dim,
                     ("", _inner_groups(p, max_dim)))
 
@@ -276,7 +319,7 @@ def _right_horn_groups(p: SimplicialMap, edges, max_dim: int):
 
 def cartesian_edge(p: SimplicialMap, e, max_dim: int) -> FibrationReport:
     """Right lifting against the right horns whose final edge is e."""
-    _cap(max_dim)
+    check_max_dim(max_dim)
     e = _edge_of(p.source, e)
     return _verdict("cartesian-edge", max_dim,
                     ("", _right_horn_groups(p, [e], max_dim)))
@@ -328,7 +371,7 @@ def cartesian_fibration(p: SimplicialMap, dec: Decorated,
     """Inner fibration, every marked edge Cartesian, and marked supply,
     all bounded by max_dim: one walk over the three kinds of square, in
     that order, each stage started only once the one before it holds."""
-    _cap(max_dim)
+    check_max_dim(max_dim)
     edges = [nondeg(*c) for c in sorted(dec.marked)]
     return _verdict("cartesian-fibration", max_dim,
                     ("inner fibration fails: ", _inner_groups(p, max_dim)),
@@ -339,7 +382,7 @@ def cartesian_fibration(p: SimplicialMap, dec: Decorated,
 def trivial_fibration(p: SimplicialMap, max_dim: int) -> FibrationReport:
     """Right lifting against the boundary inclusions up to max_dim; the
     dimension 0 case is surjectivity on vertices."""
-    _cap(max_dim)
+    check_max_dim(max_dim)
     return _verdict("trivial-fibration", max_dim, ("", (
         (f"unfillable square against the boundary of dimension {n}",
          _all_squares(p, boundary_inclusion(n)))

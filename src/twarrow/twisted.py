@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import DIM_CAP
+from . import check_max_dim
 from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import op_simplex, opposite, pair_simplex, product
@@ -145,8 +145,7 @@ def twisted_arrow(src: Decorated, max_dim: int) -> WitnessComplex:
     reversed.  An edge is marked when its witness is thin on all four
     of its triangles, not just the mirror-join ones.
     """
-    if max_dim > DIM_CAP:
-        raise ValueError(f"max_dim {max_dim} above the dimension cap {DIM_CAP}")
+    check_max_dim(max_dim)
     return _build(mirror_join_object(), _mirror_label, src, max_dim)
 
 

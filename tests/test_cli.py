@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from twarrow import DIM_CAP
 from twarrow.anodyne import certificate_from_json, verify_certificate
 from twarrow.cli import (
     ZOO_NAMES,
@@ -353,6 +354,22 @@ def test_check_cli_trivial(tmp_path):
     p = map_by_vertices(I, standard_simplex(0), lambda v: 0)
     m = write(tmp_path / "int.json", map_to_json(p))
     assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 1
+
+
+@pytest.mark.parametrize("depth", [-1, DIM_CAP + 1])
+def test_depth_outside_the_cap_is_refused(tmp_path, capsys, depth):
+    # the map fails at depth 1, so a vacuous pass would show here
+    I = standard_simplex(1)
+    p = map_by_vertices(I, standard_simplex(0), lambda v: 0)
+    m = write(tmp_path / "int.json", map_to_json(p))
+    bound = f"max_dim {depth} outside 0..{DIM_CAP}"
+    assert main(["check", "trivial", "--map", m,
+                 "--max-dim", str(depth)]) == 2
+    assert bound in capsys.readouterr().err
+    src = write(tmp_path / "d2.json", complex_to_json(standard_simplex(2)))
+    assert main(["tw", "build", "--complex", src,
+                 "--max-dim", str(depth)]) == 2
+    assert bound in capsys.readouterr().err
 
 
 # -- the suite ---------------------------------------------------------

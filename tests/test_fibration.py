@@ -107,6 +107,45 @@ def test_non_simplicial_top_has_no_lift():
     assert solve_lift(prob) is None
 
 
+def test_square_checked_only_on_maximal_cells_is_refused_by_the_search():
+    # the top sends the horn's two edges to themselves but its middle
+    # vertex to vertex 0: the square commutes on the edges, A's maximal
+    # cells, and not at vertex 1, so construction accepts it and the
+    # search's up-front check of the fixed cells refuses it
+    D = standard_simplex(2)
+    incl = horn_inclusion(2, 1)
+    H = incl.source
+    data = dict(incl.data)
+    data[H.cell_with_label((1,))] = nondeg(0, 0)
+    top = SimplicialMap(H, D, data, check=False)
+    ident = SimplicialMap.identity(D)
+    prob = LiftingProblem(incl, ident, top, ident)
+    assert ident(top.data[H.cell_with_label((1,))]) != \
+        ident.data[D.cell_with_label((1,))]
+    assert solve_lift(prob) is None
+    assert list(iter_lifts(prob)) == []
+
+
+def test_inner_fibration_checks_each_horn_inclusion_once():
+    p = map_by_vertices(nerve(total_order(2)), nerve(total_order(1)),
+                        lambda v: min(v, 1))
+    fibration._maximal_cells.cache_clear()
+    rep = inner_fibration(p, 3)
+    info = fibration._maximal_cells.cache_info()
+    # horns (2,1), (3,1) and (3,2), each with squares
+    assert rep.ok and rep.squares > 3
+    assert (info.misses, info.hits) == (3, rep.squares - 3)
+
+
+def test_cartesian_fibration_of_tw_of_the_5_simplex_at_depth_3():
+    # the paper-scale pin: building tw(Delta^5) at depth 3 took 0.3 s of
+    # CPU and the check 0.6 s on a 2-vCPU machine with Python 3.11
+    twc = twisted_arrow(sharp(standard_simplex(5)), 3)
+    f, _, _ = tw_projection(twc)
+    rep = cartesian_fibration(f, twc.dec, 3)
+    assert rep.ok and rep.squares == 4302
+
+
 def test_fixed_cell_with_unmarked_image_has_no_lift():
     D = standard_simplex(2)
     incl = horn_inclusion(2, 2)
