@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core.complex import Cell, SimplicialSet, close_cells, is_closed
+from .core.io import reader
 from .core.maps import simplex_by_chain, unwrap_label
 from .core.simplex import Simplex, nondeg
 from .decor import Decorated, decorated_subcomplex
@@ -152,12 +153,19 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def _cell_from_json(entry) -> Cell:
+    if not isinstance(entry, list) or list(map(type, entry)) != [int, int]:
+        raise ValueError(f"cell {entry!r} is not a [dim, idx] pair of ints")
+    return tuple(entry)
+
+
+@reader("certificate")
 def certificate_from_json(doc) -> Certificate:
-    steps = tuple(Step(n=s["n"], i=s["i"], attach=tuple(s["attach"]),
-                       klass=s.get("class", "inner_horn"))
+    steps = tuple(Step(n=s["n"], i=s["i"], klass=s.get("class", "inner_horn"),
+                       attach=_cell_from_json(s["attach"]))
                   for s in doc["steps"])
-    return Certificate(frozenset(tuple(c) for c in doc["start"]), steps,
-                       frozenset(tuple(c) for c in doc["end"]))
+    return Certificate(frozenset(map(_cell_from_json, doc["start"])), steps,
+                       frozenset(map(_cell_from_json, doc["end"])))
 
 
 # -- generation --------------------------------------------------------
@@ -317,7 +325,7 @@ def verify_certificate(dec: Decorated, cert: Certificate):
         cell = st.attach
         if cell[0] != nn:
             return False, k, "attached cell dimension mismatch"
-        if cell[1] >= space.n_cells(nn):
+        if not 0 <= cell[1] < space.n_cells(nn):
             return False, k, f"attached cell {cell} does not exist"
         if cell in stage:
             return False, k, "attached simplex is already present"

@@ -20,6 +20,7 @@ verifier by the caller or the tests.
 
 from __future__ import annotations
 
+from . import check_cap
 from .anodyne import (
     CertificateError,
     concatenate,
@@ -41,24 +42,16 @@ from .zoo import (
     q_diamond,
 )
 
-FIBSTEP_CAP = 3
-XI_CAP = 2
-
-
-def _check_range(n: int, i: int, cap: int):
-    if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside the supported range 1..{cap}")
-    if not 0 < i <= n:
-        raise ValueError(f"i={i} outside the range 1..{n}")
-
 
 def _ambient(n: int, i: int) -> Decorated:
+    check_cap("FIBSTEP_CAP", n, "fibstep1/fibstep2")
+    if not 0 < i <= n:
+        raise ValueError(f"i={i} outside the range 1..{n}")
     return q_diamond(n) if i == n else q_complex(n)
 
 
 def fibstep1(n: int, i: int):
     """Fill the extended core into the whole mirrored join."""
-    _check_range(n, i, FIBSTEP_CAP)
     dec = _ambient(n, i)
     cert = pivot_certificate(dec, q_core_dull_family(n, i))
     if set(cert.start) != q_core_extended_cells(n, i):
@@ -104,7 +97,6 @@ def _run_sequence(dec: Decorated, start, runs, end, name: str):
 
 def fibstep2(n: int, i: int):
     """Fill the core into the extended core, one stretch at a time."""
-    _check_range(n, i, FIBSTEP_CAP)
     dec = _ambient(n, i)
     runs = []
     for mirrored in (False, True):
@@ -163,8 +155,9 @@ def staircase_window(L: Ladder, n: int, r: int, s: int, summand: int):
 
 def xi_certificate(n: int):
     """Fill the doubled-chain core into the whole ladder."""
-    if not 0 <= n <= XI_CAP:
-        raise ValueError(f"n={n} outside the supported range 0..{XI_CAP}")
+    check_cap("XI_CAP", n, "xi_certificate")
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     L = ladder_complex(n)
     runs = ((f"staircase ({r},{s}) in summand {summand}",
              ladder_top_chain(n, r, s, summand), *staircase_walls(n, r, s))

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from time import perf_counter
 
-from . import DIM_CAP
+from . import DIM_CAP, check_cap, check_max_dim
 from .anodyne import (
     CertificateError,
     certificate_to_json,
@@ -78,8 +78,8 @@ from .fibration import (
     trivial_fibration,
 )
 from .necklace import necklace_oracle
-from .partitions import (check_poset_size, collapse_both, collapse_upper,
-                         make_partition, mapping_space, ordered_partitions)
+from .partitions import (collapse_both, collapse_upper, make_partition,
+                         mapping_space, ordered_partitions)
 from .posetmaps import MAP_NAMES, named_map
 from .twisted import (
     cone_fiber_span,
@@ -312,10 +312,9 @@ class SuiteConfig:
     inject: str | None = None
 
     def __post_init__(self):
-        if not 0 <= self.dim_cap <= DIM_CAP:
-            raise ValueError(f"dim_cap outside 0..{DIM_CAP}")
-        if any(not 0 <= d <= DIM_CAP for d in self.objects):
-            raise ValueError("object dimensions outside the cap")
+        check_max_dim(self.dim_cap, "dim_cap")
+        for d in self.objects:
+            check_max_dim(d, "object dimension")
         if self.inject not in (None, "flat-q1"):
             raise ValueError(f"unknown injection {self.inject!r}")
         if self.checks is not None:
@@ -801,11 +800,11 @@ def cmd_tw(args) -> int:
 def cmd_poset(args) -> int:
     if args.mode == "mapspace":
         if args.chain is not None:
-            check_poset_size(args.chain + 1)
+            check_cap("CHAIN_POSET_CAP", args.chain + 1, "--chain")
             P = total_order(args.chain)
         elif args.poset is not None:
             obj = _load_json(args.poset)
-            check_poset_size(len(obj["elements"]))
+            check_cap("CHAIN_POSET_CAP", len(obj["elements"]), "--poset")
             P = poset_from_json(obj)
         else:
             raise ValueError("mapspace needs --chain or --poset")

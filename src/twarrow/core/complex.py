@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 
+from .. import CAPS, check_cap
 from .simplex import (
     Simplex,
     all_words,
@@ -189,15 +190,12 @@ def point(label=None) -> SimplicialSet:
     return SimplicialSet({0: 1}, {}, labels)
 
 
-# Delta^14 has 32,767 cells; each step up doubles that
-SIMPLEX_CAP = 14
+SIMPLEX_CAP = CAPS["SIMPLEX_CAP"].value
 
 
 def standard_simplex(n: int) -> SimplicialSet:
     """Delta^n with each cell labelled by its vertex tuple."""
-    if n > SIMPLEX_CAP:
-        raise ValueError(f"standard simplex needs a small dimension: "
-                         f"{n}, cap {SIMPLEX_CAP}")
+    check_cap("SIMPLEX_CAP", n, "standard_simplex")
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, Simplex] = {}
     for d in range(n + 1):

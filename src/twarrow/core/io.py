@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import json
 
+from .. import check_cap
 from .complex import SimplicialSet
-from .simplex import HANDLE_CAP, Simplex
+from .simplex import Simplex
 
 
 def encode_label(lab):
@@ -83,9 +84,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
     simplices = {int(d): entry for d, entry in obj["simplices"].items()}
     counts = {d: entry["count"] for d, entry in simplices.items()}
     for d, n in counts.items():
-        if n > HANDLE_CAP:
-            raise ValueError(f"{n} cells in dimension {d}, above the cap "
-                             f"HANDLE_CAP = {HANDLE_CAP}")
+        check_cap("HANDLE_CAP", n, f"complex document, dimension {d}")
     faces, labels = {}, {}
     for d, entry in simplices.items():
         if d >= 1:

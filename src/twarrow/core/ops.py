@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
+from .. import CAPS, check_cap
 from .complex import Cell, SimplicialSet
 from .maps import SimplicialMap, unwrap_label
 from .simplex import (
@@ -84,9 +85,7 @@ def _split_shared(wx: tuple[int, ...], wy: tuple[int, ...]):
     return common, wx, wy
 
 
-# the tests and the suite build products of at most 2,900 cells; one
-# at the cap takes about 3 s
-PRODUCT_CAP = 50_000
+PRODUCT_CAP = CAPS["PRODUCT_CAP"].value
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,13 +101,6 @@ def shuffle_words(p: int, q: int, m: int) -> tuple:
     return tuple(out)
 
 
-def product_size(X: SimplicialSet, Y: SimplicialSet, cap: int) -> int:
-    """Cells of X x Y up to dimension cap, counted from the cell counts."""
-    return sum(nx * ny * comb(m, m - p) * comb(p, m - q)
-               for p, nx in X.counts.items() for q, ny in Y.counts.items()
-               for m in range(max(p, q), min(p + q, cap) + 1))
-
-
 def _vertex_label_rows(X: SimplicialSet) -> dict[Cell, tuple]:
     """Each cell's vertex labels, singleton chains unwrapped."""
     return {c: tuple(unwrap_label(X.labels[v])
@@ -122,10 +114,10 @@ def product(X: SimplicialSet, Y: SimplicialSet,
     cap = X.top_dim + Y.top_dim
     if top_dim is not None:
         cap = min(cap, top_dim)
-    size = product_size(X, Y, cap)
-    if size > PRODUCT_CAP:
-        raise ValueError(f"product needs small factors: {size} cells, "
-                         f"cap {PRODUCT_CAP}")
+    check_cap("PRODUCT_CAP", sum(
+        nx * ny * comb(m, m - p) * comb(p, m - q)
+        for p, nx in X.counts.items() for q, ny in Y.counts.items()
+        for m in range(max(p, q), min(p + q, cap) + 1)), "product")
     per_dim: dict[int, list[tuple[Simplex, Simplex]]] = {}
     for p in sorted(X.counts):
         for q in sorted(Y.counts):
@@ -275,9 +267,7 @@ class GlueResult:
     classes: dict[int, list[list[Member]]] = field(repr=False, default=None)
 
 
-# input cells up to the cap; the tests and the suite glue at most 512,
-# and a gluing at the cap takes seconds before its relations count
-GLUE_CAP = 100_000
+GLUE_CAP = CAPS["GLUE_CAP"].value
 
 
 def _face_closure(pieces: list[SimplicialSet], relations) -> dict[int, list]:
@@ -326,10 +316,8 @@ def glue(pieces: list[SimplicialSet], relations,
     cap = max((X.top_dim for X in pieces), default=-1)
     if top_dim is not None:
         cap = min(cap, top_dim)
-    size = sum(X.n_cells(d) for X in pieces for d in range(cap + 1))
-    if size > GLUE_CAP:
-        raise ValueError(f"glue needs small pieces: {size} cells, "
-                         f"cap {GLUE_CAP}")
+    check_cap("GLUE_CAP", sum(X.n_cells(d) for X in pieces
+                              for d in range(cap + 1)), "glue")
     forest = _face_closure(pieces, relations)
 
     # member cell (p, c) -> its simplex in the glued complex
@@ -397,10 +385,7 @@ def pushout(f: SimplicialMap, g: SimplicialMap) -> GlueResult:
     return glue([f.target, g.target], rels)
 
 
-# simplices keyed, degenerate ones included; the tests and the suite key
-# at most 375, and the 117,648 of an uncut two-sided mapping space of a
-# 7-element chain take about 10 s
-QUOTIENT_CAP = 20_000
+QUOTIENT_CAP = CAPS["QUOTIENT_CAP"].value
 
 
 def quotient_by_key(X: SimplicialSet, key_fn,
@@ -426,11 +411,9 @@ def quotient_by_key(X: SimplicialSet, key_fn,
     which closes it under faces.  Any failure raises a ValueError.
     """
     cap = X.top_dim if top_dim is None else min(X.top_dim, top_dim)
-    size = sum(n * comb(m, p) for p, n in X.counts.items()
-               for m in range(p, cap + 1))
-    if size > QUOTIENT_CAP:
-        raise ValueError(f"quotient needs a small complex: {size} simplices "
-                         f"to key, cap {QUOTIENT_CAP}")
+    check_cap("QUOTIENT_CAP", sum(n * comb(m, p) for p, n in X.counts.items()
+                                  for m in range(p, cap + 1)),
+              "quotient_by_key")
     image: dict[Cell, Simplex] = {}
 
     def image_of(s: Simplex) -> Simplex:

@@ -6,6 +6,7 @@ import itertools
 import threading
 from collections import OrderedDict
 
+from .. import CAPS, check_cap
 from .complex import SimplicialSet
 from .simplex import Simplex, nondeg_row
 
@@ -136,10 +137,7 @@ def total_order(n: int) -> Poset:
     return Poset(range(n + 1), [(i, i + 1) for i in range(n)])
 
 
-# the tests build nerves of at most 12,543 cells (the ladder poset at
-# n = 3); one of 94,585 cells (the chains of a 7-element chain that
-# start below its top) takes about 2 s
-NERVE_CAP = 50_000
+NERVE_CAP = CAPS["NERVE_CAP"].value
 
 
 # nerves kept for reuse, least recently used dropped first; the suite
@@ -183,9 +181,7 @@ def _build_nerve(P: Poset, top_dim: int | None) -> SimplicialSet:
         if not level:
             break
         size += len(level)
-        if size > NERVE_CAP:
-            raise ValueError(f"nerve needs a small poset: at least {size} "
-                             f"cells, cap {NERVE_CAP}")
+        check_cap("NERVE_CAP", size, "nerve, chains so far")
         levels.append(level)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, Simplex] = {}

@@ -28,6 +28,8 @@ import itertools
 import threading
 from typing import NamedTuple
 
+from .. import CAPS
+
 
 class Simplex(NamedTuple):
     """Handle for a (possibly degenerate) simplex of a simplicial set.
@@ -54,10 +56,7 @@ class Simplex(NamedTuple):
 _handles: dict[int, list[Simplex]] = {}
 _handles_lock = threading.Lock()
 
-# indices from here on get a handle of their own; no constructor builds
-# more cells than this in one dimension, and complex_from_json refuses
-# a document that lists more
-HANDLE_CAP = 100_000
+HANDLE_CAP = CAPS["HANDLE_CAP"].value
 
 
 def nondeg(dim: int, idx: int) -> Simplex:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import check_cap
 from .core.complex import SimplicialSet, point, subcomplex
 from .core.maps import SimplicialMap, unwrap_label
-from .core.ops import GLUE_CAP, GlueResult
+from .core.ops import GlueResult
 from .core.simplex import (Simplex, constant_simplex, degenerate_word,
                            flag_map, nondeg)
 
@@ -144,10 +145,7 @@ def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
     """
     X = dec.space
     parts = [frozenset(part) for part in parts]
-    size = len(parts) + X.size()
-    if size > GLUE_CAP:
-        raise ValueError(f"glue needs small pieces: {size} cells, "
-                         f"cap {GLUE_CAP}")
+    check_cap("COLLAPSE_CAP", len(parts) + X.size(), "collapse_to_point")
     last = len(parts)
     # per vertex, the parts holding it as a bit mask; each part's least
     # partner through shared vertices names its point

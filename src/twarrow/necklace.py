@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 
+from . import CAPS, check_cap
 from .core.complex import Cell, SimplicialSet
 from .core.simplex import Simplex, nondeg
 
-SIZE_CAP = 40
+SIZE_CAP = CAPS["SIZE_CAP"].value
 
 
 def _bead_ends(X: SimplicialSet, cell: Cell) -> tuple[Cell, Cell]:
@@ -86,10 +87,7 @@ def necklace_oracle(X: SimplicialSet, x: Cell, y: Cell, max_dim: int = 2,
     """
     if max_dim > 2:
         raise ValueError("necklace enumeration is capped at dimension 2")
-    if X.size() > SIZE_CAP:
-        raise ValueError(
-            f"complex too large for the necklace oracle: {X.size()} "
-            f"nondegenerate simplices, cap {SIZE_CAP}")
+    check_cap("SIZE_CAP", X.size(), "complex too large for necklace_oracle")
     by_start: dict[Cell, list] = {}
     for c in X.all_cells():
         if c[0] >= 1:

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import CAPS, check_cap
 from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import GlueResult, quotient_by_key
@@ -152,29 +153,10 @@ def sorted_chain(P: Poset, S) -> tuple:
     return out
 
 
-CHAIN_POSET_CAP = 16
-# the tests build chain posets of at most 105 elements; the inclusion
-# pairs grow quadratically, and 1,953 elements (boxplus at n = 4) take
-# about 2 s
-CHAIN_ELEMENTS_CAP = 2_000
+CHAIN_POSET_CAP = CAPS["CHAIN_POSET_CAP"].value
+CHAIN_ELEMENTS_CAP = CAPS["CHAIN_ELEMENTS_CAP"].value
 
 _chain_poset_cache: dict = {}
-
-
-def check_poset_size(n: int) -> None:
-    """Refuse chain posets of a poset on more than ``CHAIN_POSET_CAP``
-    elements, before anything is built."""
-    if n > CHAIN_POSET_CAP:
-        raise ValueError(f"chain poset enumeration needs a small poset: "
-                         f"{n} elements, cap {CHAIN_POSET_CAP}")
-
-
-def check_chain_elements(n: int) -> None:
-    """Refuse a chain poset of more than ``CHAIN_ELEMENTS_CAP`` elements
-    before its inclusion pairs are built."""
-    if n > CHAIN_ELEMENTS_CAP:
-        raise ValueError(f"chain poset needs few chains: {n} elements, "
-                         f"cap {CHAIN_ELEMENTS_CAP}")
 
 
 def chain_poset(part: OrderedPartition) -> Poset:
@@ -185,13 +167,13 @@ def chain_poset(part: OrderedPartition) -> Poset:
     key = (part.poset.elements, part.poset.le, part.lower, part.upper)
     if key not in _chain_poset_cache:
         P = part.poset
-        check_poset_size(len(P.elements))
+        check_cap("CHAIN_POSET_CAP", len(P.elements), "chain_poset")
         pe = P.elements
         els = [frozenset(pe[i] for i in c)
                for level in P.chain_levels(len(pe)) for c in level
                if len(c) > 1 and pe[c[0]] in part.lower
                and pe[c[-1]] in part.upper]
-        check_chain_elements(len(els))
+        check_cap("CHAIN_ELEMENTS_CAP", len(els), "chain_poset")
         els.sort(key=lambda S: (len(S), tuple(sorted(_rank(P, e) for e in S))))
         pairs = [(S, T) for S in els for T in els if S <= T]
         _chain_poset_cache[key] = Poset(els, pairs)

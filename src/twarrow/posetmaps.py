@@ -28,13 +28,13 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import check_cap
 from .core.poset import Poset
 from .partitions import (
     Collapse,
     OrderedPartition,
     boxplus_partition,
     chain_poset,
-    check_chain_elements,
     collapse_both,
     cone_partition,
     marked_chain_edge,
@@ -56,7 +56,7 @@ def interval_poset(i: int, j: int) -> Poset:
     under inclusion.  These index the joints of necklaces from i to j."""
     if not i < j:
         raise ValueError("interval needs i < j")
-    check_chain_elements(2 ** (j - i - 1))
+    check_cap("CHAIN_ELEMENTS_CAP", 2 ** (j - i - 1), "interval_poset")
     mids = range(i + 1, j)
     els = [frozenset({i, j}) | frozenset(c)
            for r in range(len(mids) + 1)

@@ -1,5 +1,6 @@
 """Tests for the dull-family pivot engine and certificate replay."""
 
+import dataclasses
 import json
 import random
 
@@ -25,8 +26,10 @@ from twarrow.anodyne import (
     pivot_strata,
     verify_certificate,
 )
+from twarrow.certificates import fibstep1
 from twarrow.core import close_cells, opposite, simplex_cell, standard_simplex
-from twarrow.decor import Decorated, op_decoration
+from twarrow.core.simplex import nondeg
+from twarrow.decor import Decorated, collapse_to_point, op_decoration, sharp
 from twarrow.zoo import q_complex, q_core_dull_family, q_core_extended_cells, q_diamond
 
 
@@ -221,3 +224,75 @@ def test_concatenate_replays():
     a = pivot_certificate(dec, [{0}, {3}])
     whole = concatenate(dec.space, [a])
     assert whole == a
+
+
+# -- tampered certificates and documents --------------------------------
+
+
+def _tampered(cert, start=(), **steps):
+    """cert with cells added to its start and steps replaced, given as
+    s<k>=<new fields> for the 1-based step k."""
+    out = list(cert.steps)
+    for key, fields in steps.items():
+        k = int(key[1:]) - 1
+        out[k] = dataclasses.replace(out[k], **fields)
+    return Certificate(cert.start | set(start), tuple(out), cert.end)
+
+
+def test_each_tampering_is_refused_at_its_step():
+    # steps: (3, 2) and (3, 4) in dimension 3, then (4, 1), (4, 2),
+    # (4, 3) in dimension 4, then the top cell (5, 0); step 1's missing
+    # face is (2, 6)
+    dec, cert = fibstep1(2, 1)
+    assert verify_certificate(dec, cert) == (True, 0, "ok")
+    cases = [
+        (_tampered(cert, start=[(0, 99)]),
+         (0, "start cell (0, 99) does not exist")),
+        (_tampered(cert, s3={"klass": "outer_horn"}),
+         (3, "unknown step class 'outer_horn'")),
+        (_tampered(cert, s3={"attach": (3, 2)}),
+         (3, "attached cell dimension mismatch")),
+        (_tampered(cert, s3={"attach": (4, 6)}),
+         (3, "attached cell (4, 6) does not exist")),
+        (_tampered(cert, s3={"attach": (4, -1)}),
+         (3, "attached cell (4, -1) does not exist")),
+        (_tampered(cert, s4={"attach": (4, 1)}),
+         (4, "attached simplex is already present")),
+        (_tampered(cert, start=[(2, 6)]),
+         (1, "missing face is already present")),
+    ]
+    for bad, (step, reason) in cases:
+        assert verify_certificate(dec, bad) == (False, step, reason)
+
+
+def test_a_degenerate_missing_face_is_refused():
+    # crushing the edge {0, 2} of Delta^2 makes d1 of its triangle
+    # degenerate
+    _, dec = collapse_to_point(sharp(standard_simplex(2)), [{0, 2}])
+    X = dec.space
+    assert X.face(nondeg(2, 0), 1).word
+    below = frozenset(c for c in X.all_cells() if c[0] <= 1)
+    cert = Certificate(below, (Step(n=2, i=1, attach=(2, 0)),),
+                       frozenset(X.all_cells()))
+    assert verify_certificate(dec, cert) == \
+        (False, 1, "missing face is degenerate")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "a certificate document is a JSON object, not list"),
+    ({"start": [], "steps": [{"n": 2, "attach": [2, 0]}], "end": []},
+     "certificate document lacks the 'i' entry"),
+    ({"start": [[0]], "steps": [], "end": []},
+     r"cell \[0\] is not a \[dim, idx\] pair of ints"),
+    ({"start": [], "steps": [], "end": [[0, "1"]]},
+     r"cell \[0, '1'\] is not a \[dim, idx\] pair"),
+    ({"start": [], "steps": [{"n": 2, "i": 1, "attach": [2, True]}],
+      "end": []}, r"cell \[2, True\] is not a \[dim, idx\] pair"),
+    ({"start": [], "steps": [{"n": 2, "i": 1, "attach": 5}], "end": []},
+     "cell 5 is not a"),
+    ({"start": [], "steps": [[2, 1]], "end": []},
+     "malformed certificate document"),
+])
+def test_certificate_reader_refuses_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        certificate_from_json(doc)

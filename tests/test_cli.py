@@ -1,13 +1,17 @@
 """Command-line surface: subcommands, serialization, exports, the suite."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from twarrow import DIM_CAP
+import twarrow
+from twarrow import CAPS, DIM_CAP
 from twarrow.anodyne import certificate_from_json, verify_certificate
 from twarrow.cli import (
     ZOO_NAMES,
@@ -184,6 +188,38 @@ def test_oversized_base_poset_fails_fast(capsys, tmp_path):
                               write(tmp_path / "p.json", doc),
                               "--upper", "2000"],
                      f"2001 elements, cap {CHAIN_POSET_CAP}")
+
+
+@pytest.mark.parametrize("argv, count, name", [
+    ("zoo build t --n 6", "245759 cells", "PRODUCT_CAP"),
+    ("certify paper --which xi --n 3", "n = 3", "XI_CAP"),
+    ("certify paper --which fibstep1 --n 4 --i 1", "n = 4", "FIBSTEP_CAP"),
+])
+def test_generator_caps_fail_fast(capsys, argv, count, name):
+    _refused_at_once(capsys, argv.split(),
+                     f"{count}, cap {CAPS[name].value} ({name})")
+
+
+def test_oversized_complex_document_fails_fast(capsys, tmp_path):
+    n = CAPS["HANDLE_CAP"].value + 1
+    doc = {"top_dim": 0, "simplices": {"0": {"count": n}}}
+    _refused_at_once(capsys, ["tw", "build", "--complex",
+                              write(tmp_path / "big.json", doc)],
+                     f"dimension 0: {n} cells, cap {n - 1} (HANDLE_CAP)")
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_malformed_dim_cap_variable_is_refused(tmp_path, value):
+    src = os.path.dirname(os.path.dirname(twarrow.__file__))
+    env = dict(os.environ, TWARROW_DIM_CAP=value)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "twarrow.cli", "suite",
+                          "--checks", ""], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode != 0
+    assert (f"TWARROW_DIM_CAP must be a nonnegative integer, got "
+            f"{value!r}") in out.stderr
 
 
 # -- tw and poset commands ---------------------------------------------

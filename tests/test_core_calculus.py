@@ -650,6 +650,14 @@ def test_random_products_match_the_reference():
         top_dim = rng.choice([None, 1, 2, 3])
         assert_same_product(product(X, Y, top_dim),
                             _reference_product(X, Y, top_dim))
+    # crushing {0, 1} makes an edge of Delta^2 degenerate, so some cells
+    # pair simplices that share a collapse, which pair_simplex strips
+    _, crushed = collapse_to_point(flat(standard_simplex(2)), [{0, 1}])
+    X, Y = crushed.space, standard_simplex(1)
+    data = product(X, Y)
+    assert_same_product(data, _reference_product(X, Y))
+    data.pr1.validate()
+    data.pr2.validate()
 
 
 # -- size caps ---------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 
 from twarrow.core import maps
 from twarrow.core.complex import point, standard_simplex
-from twarrow.core.maps import SimplicialMap, map_by_vertices
+from twarrow.core.maps import (SimplicialMap, enumerate_homs, face_index,
+                               map_by_vertices)
+from twarrow.core.ops import glue
 from twarrow.core.poset import all_posets, nerve, total_order
 from twarrow.core.simplex import degenerate_word, nondeg
 from twarrow import fibration
@@ -484,3 +486,25 @@ def test_bottom_maps_match_restriction_on_every_square(monkeypatch):
             cartesian_edge(f, c, 3)
     trivial_fibration(cone_fiber_span(sharp(D1), 1, 2).pi, 2)
     assert len(seen) == 435
+
+
+def test_squares_gather_bottoms_from_several_face_keys():
+    # two triangles glued along 01 and 12 share d0 and d2 but not d1, so
+    # the (2, 1) horn's key gathers bottoms from two face-index entries
+    D = standard_simplex(2)
+    e01, e12 = (nondeg(*D.cell_with_label(e)) for e in ((0, 1), (1, 2)))
+    Y = glue([D, D], [((0, e01), (1, e01)), ((0, e12), (1, e12))]).complex
+    keys = [(f[0], f[2]) for f in face_index(Y, 2)]
+    assert len(keys) > len(set(keys))
+    p = SimplicialMap.identity(Y)
+    rep = inner_fibration(p, 2)
+    assert rep.ok and rep.squares == 13
+    incl = horn_inclusion(2, 1)
+    back = {s.base: a for a, s in incl.data.items()}
+    facets = [back[D.face(nondeg(2, 0), k).base] for k in (0, 2)]
+    tops = list(enumerate_homs(incl.source, Y))
+    got = [prob.bottom.data[(2, 0)]
+           for prob in fibration._squares(p, incl)(tops)]
+    want = [s for top in tops for s in Y.simplices(2)
+            if [Y.face(s, 0), Y.face(s, 2)] == [top.data[a] for a in facets]]
+    assert got == want and len(got) == 13

@@ -11,8 +11,8 @@ from twarrow.core.maps import SimplicialMap, map_by_vertices, unwrap_label
 from twarrow.core.ops import glue, opposite
 from twarrow.core.poset import Poset, all_posets, nerve
 from twarrow.core.simplex import Simplex, constant_simplex, nondeg
-from twarrow.decor import (Decorated, flat, preserves_decoration,
-                           push_decoration, sharp)
+from twarrow.decor import (Decorated, collapse_to_point, flat,
+                           preserves_decoration, push_decoration, sharp)
 from twarrow.twisted import (
     WitnessComplex, cone_fiber_complex, cone_fiber_span, retraction_pair,
     slice_outer, slice_projection, tw_comparison, tw_fiber, tw_functor,
@@ -66,6 +66,16 @@ def test_tw_oracle_small_posets():
         lhs2 = pdata.pr2.compose(f.compose(comp))
         rhs2 = map_by_vertices(comp.source, opposite(nerve(P)), lambda e: e[1])
         assert lhs2.data == rhs2.data
+
+
+def test_tw_oracle_six_point_posets():
+    # the 318 six-element classes (OEIS A000112), comparison only; about
+    # 2 s of CPU
+    classes = all_posets(6)
+    assert len(classes) == 318
+    for P in classes:
+        comp = tw_comparison(P, twisted_arrow(sharp(nerve(P)), 3))
+        assert comp.is_isomorphism(), P
 
 
 def test_tw_projection_vertex_targets():
@@ -305,3 +315,12 @@ def test_thin_triples_per_base_cell_match_the_restrictions(monkeypatch):
                 assert got == _witness_data(make())
             n += 1
     assert n == 246
+
+
+def test_tw_of_a_crushed_simplex_normalizes_degenerate_witnesses():
+    # with {0, 1} crushed, Delta^2 has a degenerate edge, so some valid
+    # witnesses factor through a codegeneracy and are normalized down
+    _, dec = collapse_to_point(sharp(standard_simplex(2)), [{0, 1}])
+    twc = twisted_arrow(dec, 3)
+    twc.space.validate()
+    tw_projection(twc)[0].validate()
