@@ -159,9 +159,20 @@ def _cell_from_json(entry) -> Cell:
     return tuple(entry)
 
 
+def _typed(step: dict, key: str, kind: type, default=None):
+    """The ``key`` entry of a step, which must be a ``kind`` (a bool is
+    not an int)."""
+    value = step[key] if default is None else step.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"step entry {key!r} is {value!r}, not of type "
+                         f"{kind.__name__}")
+    return value
+
+
 @reader("certificate")
 def certificate_from_json(doc) -> Certificate:
-    steps = tuple(Step(n=s["n"], i=s["i"], klass=s.get("class", "inner_horn"),
+    steps = tuple(Step(n=_typed(s, "n", int), i=_typed(s, "i", int),
+                       klass=_typed(s, "class", str, "inner_horn"),
                        attach=_cell_from_json(s["attach"]))
                   for s in doc["steps"])
     return Certificate(frozenset(map(_cell_from_json, doc["start"])), steps,

@@ -35,19 +35,16 @@ from .zoo import (
     ladder_complex,
     ladder_core_cells,
     ladder_top_chain,
-    q_complex,
+    q_core_ambient,
     q_core_cells,
     q_core_dull_family,
     q_core_extended_cells,
-    q_diamond,
 )
 
 
 def _ambient(n: int, i: int) -> Decorated:
     check_cap("FIBSTEP_CAP", n, "fibstep1/fibstep2")
-    if not 0 < i <= n:
-        raise ValueError(f"i={i} outside the range 1..{n}")
-    return q_diamond(n) if i == n else q_complex(n)
+    return q_core_ambient(n, i)
 
 
 def fibstep1(n: int, i: int):

@@ -104,6 +104,7 @@ from .zoo import (
     prism_complex,
     prism_to_ladder,
     q_complex,
+    q_core_ambient,
     q_core_cells,
     q_core_extended_cells,
     q_diamond,
@@ -263,12 +264,9 @@ def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
         L = ladder_complex(n)
         return decorated_subcomplex(L.dec, ladder_core_cells(L))[0]
     if name in ("k", "kcal"):
-        if not 0 < i <= n:
-            raise ValueError(f"{name} needs an index i with 0 < i <= n")
-        ambient = q_diamond(n) if i == n else q_complex(n)
         cells = q_core_cells(n, i) if name == "k" \
             else q_core_extended_cells(n, i)
-        return decorated_subcomplex(ambient, cells)[0]
+        return decorated_subcomplex(q_core_ambient(n, i), cells)[0]
     raise ValueError(f"unknown zoo object {name!r}")
 
 

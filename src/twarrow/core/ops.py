@@ -9,14 +9,15 @@ dimension at a time with a union-find over the pieces' nondegenerate
 cells and the degenerate forms already fixed below.  A quotient by
 equal keys needs none of that: its classes are the key classes, so it
 is built one dimension at a time from the images below, with three
-checks that the keys form a simplicial congruence.
+checks that the keys form a simplicial congruence.  A new cell's members
+are its nondegenerate preimages under the result's maps.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .. import CAPS, check_cap
@@ -261,10 +262,10 @@ class _UnionFind:
 
 @dataclass
 class GlueResult:
+    """A colimit and the map from each piece into it.  A new cell's
+    members are its nondegenerate preimages under ``maps``."""
     complex: SimplicialSet
     maps: list[SimplicialMap]
-    # per dimension, per new cell: its nondegenerate members, sorted
-    classes: dict[int, list[list[Member]]] = field(repr=False, default=None)
 
 
 GLUE_CAP = CAPS["GLUE_CAP"].value
@@ -310,8 +311,7 @@ def glue(pieces: list[SimplicialSet], relations,
     per dimension over the pieces' m-cells and those forms also closes
     the relation under degeneracies.  A class holding a form is that
     degenerate simplex; every other class is a new cell, numbered in
-    the sorted order of its least member.  ``classes[m][k]`` lists the
-    nondegenerate members of the new cell (m, k).
+    the sorted order of its least member.
     """
     cap = max((X.top_dim for X in pieces), default=-1)
     if top_dim is not None:
@@ -331,7 +331,6 @@ def glue(pieces: list[SimplicialSet], relations,
         return (-1, degenerate_word(nf[(p, s.base)], s.word))
 
     counts, faces, labels = {}, {}, {}
-    classes: dict[int, list[list[Member]]] = {}
     for m in range(cap + 1):
         uf = _UnionFind()
         for a, b in forest.get(m, ()):
@@ -350,10 +349,8 @@ def glue(pieces: list[SimplicialSet], relations,
                     nf[(p, c)] = root[1]
                 else:
                     groups.setdefault(root, []).append((p, c))
-        classes[m] = []
         for h, members in zip(nondeg_row(m, len(groups)), groups.values()):
             cell = h.base
-            classes[m].append([(p, nondeg(*c)) for p, c in members])
             for mem in members:
                 nf[mem] = h
             for p, c in members:
@@ -372,7 +369,7 @@ def glue(pieces: list[SimplicialSet], relations,
     for p, X in enumerate(pieces):
         data = {c: nf[(p, c)] for c in X.all_cells() if c[0] <= cap}
         maps.append(SimplicialMap(X, out, data, check=False))
-    return GlueResult(out, maps, classes)
+    return GlueResult(out, maps)
 
 
 def disjoint_union(pieces: list[SimplicialSet]) -> GlueResult:
@@ -399,8 +396,7 @@ def quotient_by_key(X: SimplicialSet, key_fn,
     holds a degenerate simplex s_w (b) is that simplex's image, s_w of
     b's image; every other class is a new cell, numbered in the order of
     its first member, with that member's faces and the label of its
-    first labelled member.  ``classes[m][k]`` lists the members of the
-    new cell (m, k).  The result is what ``glue`` gives on the key
+    first labelled member.  The result is what ``glue`` gives on the key
     relation.
 
     Equal keys must form a simplicial congruence, and three tests on
@@ -424,7 +420,6 @@ def quotient_by_key(X: SimplicialSet, key_fn,
                          f"dimension {m} {what}")
 
     counts, faces, labels = {}, {}, {}
-    classes: dict[int, list[list[Member]]] = {}
     for m in range(cap + 1):
         # key -> (first degenerate member, its image); image -> member
         degen: dict[object, tuple[Simplex, Simplex]] = {}
@@ -433,7 +428,6 @@ def quotient_by_key(X: SimplicialSet, key_fn,
         wanted: dict[object, tuple] = {}
         new: dict[object, Cell] = {}
         named: dict[Cell, object] = {}
-        classes[m] = []
         # the degenerate simplices come first, the m-cells last
         for s in X.simplices(m):
             k = key_fn(s)
@@ -462,11 +456,9 @@ def quotient_by_key(X: SimplicialSet, key_fn,
             else:
                 if k not in new:
                     new[k] = nondeg(m, len(new)).base
-                    classes[m].append([])
                     if m:
                         faces[new[k]] = row
                 cell = new[k]
-                classes[m][cell[1]].append((0, s))
                 image[c] = nondeg(*cell)
                 if cell not in named and c in X.labels:
                     named[cell] = X.labels[c]
@@ -480,5 +472,4 @@ def quotient_by_key(X: SimplicialSet, key_fn,
         labels.update(sorted(named.items()))
 
     out = SimplicialSet(counts, faces, labels)
-    return GlueResult(out, [SimplicialMap(X, out, image, check=False)],
-                      classes)
+    return GlueResult(out, [SimplicialMap(X, out, image, check=False)])

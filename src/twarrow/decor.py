@@ -11,9 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import check_cap
-from .core.complex import SimplicialSet, point, subcomplex
+from .core.complex import Cell, SimplicialSet, subcomplex
 from .core.maps import SimplicialMap, unwrap_label
-from .core.ops import GlueResult
 from .core.simplex import (Simplex, constant_simplex, degenerate_word,
                            flag_map, nondeg)
 
@@ -110,23 +109,22 @@ def decorated_subcomplex(dec: Decorated, cells):
     return pull_decoration(incl, dec), incl
 
 
-def push_decoration(res: GlueResult, decs: list[Decorated]) -> Decorated:
-    """Decoration generated on a glued complex by piecewise decorations."""
-    Q = res.complex
+def push_decoration(maps: list[SimplicialMap],
+                    decs: list[Decorated]) -> Decorated:
+    """Decoration generated on the maps' common target by ``decs``, the
+    decorations of their sources."""
     thin, marked = set(), set()
-    for f, dec in zip(res.maps, decs):
-        for c in dec.thin:
-            img = f(nondeg(*c))
-            if not img.is_degenerate:
-                thin.add(img.base)
-        for c in dec.marked:
-            img = f(nondeg(*c))
-            if not img.is_degenerate:
-                marked.add(img.base)
-    return Decorated(Q, thin, marked)
+    for f, dec in zip(maps, decs):
+        for cells, out in ((dec.thin, thin), (dec.marked, marked)):
+            for c in cells:
+                img = f(nondeg(*c))
+                if not img.is_degenerate:
+                    out.add(img.base)
+    return Decorated(maps[0].target, thin, marked)
 
 
-def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
+def collapse_to_point(
+        dec: Decorated, parts) -> tuple[SimplicialMap, Decorated, list[Cell]]:
     """Crush the cells of ``dec.space`` on each vertex-label set in
     ``parts`` (singleton chains unwrapped) to a point of its own, all at
     once.
@@ -139,9 +137,9 @@ def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
     its faces' images and its label; a point takes the label of the
     first vertex it crushes.
 
-    Returns what ``glue`` gives on the same crush, with pieces
-    [point, ..., point, dec.space] and the k-th point that of
-    ``parts[k]``, and the decoration pushed onto it.
+    Returns the quotient map of ``dec.space``, which is what ``glue``
+    gives on the same crush, the decoration pushed along it, and the
+    point (a 0-cell) of each part.
     """
     X = dec.space
     parts = [frozenset(part) for part in parts]
@@ -158,28 +156,26 @@ def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
             joined = {rep[k] for k in range(last) if bits >> k & 1}
             rep = [min(joined) if r in joined else r for r in rep]
     point_of = {r: nondeg(0, i) for i, r in enumerate(sorted(set(rep)))}
-    classes = {0: [[(k, nondeg(0, 0)) for k in range(last) if rep[k] == r]
-                   for r in point_of]}
 
     def point_at(bits: int) -> Simplex:
         # the point of the first part in the mask
         return point_of[rep[(bits & -bits).bit_length() - 1]]
 
+    counts = {0: len(point_of)}
     named, image = {}, {}
     for v, bits in mask.items():
         if bits:
             image[v] = point_at(bits)
-            classes[0][image[v].base[1]].append((last, nondeg(*v)))
         else:
-            image[v] = nondeg(0, len(classes[0]))
-            classes[0].append([(last, nondeg(*v))])
+            image[v] = nondeg(0, counts[0])
+            counts[0] += 1
         if v in X.labels:
             named.setdefault(image[v].base, X.labels[v])
     # in cell order, as glue lists them
     labels = dict(sorted(named.items()))
-    counts, faces = {0: len(classes[0])}, {}
+    faces = {}
     for m in range(1, X.top_dim + 1):
-        classes[m] = []
+        counts[m] = 0
         for c in X.cells(m):
             row = X.faces[c]
             # the first and last faces hold all the cell's vertices
@@ -187,21 +183,17 @@ def collapse_to_point(dec: Decorated, parts) -> tuple[GlueResult, Decorated]:
             if bits:
                 image[c] = constant_simplex(point_at(bits).base, m)
                 continue
-            image[c] = nondeg(m, len(classes[m]))
+            image[c] = nondeg(m, counts[m])
+            counts[m] += 1
             cell = image[c].base
-            classes[m].append([(last, nondeg(*c))])
             faces[cell] = tuple(degenerate_word(image[f.base], f.word)
                                 for f in row)
             if c in X.labels:
                 labels[cell] = X.labels[c]
-        counts[m] = len(classes[m])
-    out = SimplicialSet(counts, faces, labels)
-    pts = [point() for _ in parts]
-    maps = [SimplicialMap(P, out, {(0, 0): point_of[r]}, check=False)
-            for P, r in zip(pts, rep)]
-    maps.append(SimplicialMap(X, out, image, check=False))
-    res = GlueResult(out, maps, classes)
-    return res, push_decoration(res, [flat(P) for P in pts] + [dec])
+    quot = SimplicialMap(X, SimplicialSet(counts, faces, labels), image,
+                         check=False)
+    return (quot, push_decoration([quot], [dec]),
+            [point_of[r].base for r in rep])
 
 
 def op_decoration(dec: Decorated, Xop: SimplicialSet) -> Decorated:

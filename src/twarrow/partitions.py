@@ -32,7 +32,7 @@ from .core.complex import Cell, SimplicialSet
 from .core.maps import SimplicialMap, simplex_by_chain, unwrap_label
 from .core.ops import GlueResult, quotient_by_key
 from .core.poset import Poset, nerve, total_order
-from .core.simplex import Simplex, flag_map, nondeg
+from .core.simplex import Simplex, flag_map
 from .decor import Decorated, collapse_to_point, flat
 from .zoo import boxplus_complex, join_parts, q_complex, square_complex, star_complex
 
@@ -231,7 +231,7 @@ def truncate(part: OrderedPartition, N: SimplicialSet, s: Simplex,
 
 
 def congruence_quotient(part: OrderedPartition, side: str, j=None,
-                        top_dim: int | None = None) -> tuple[GlueResult, SimplicialSet]:
+                        top_dim: int | None = None) -> GlueResult:
     """Quotient of the chain-poset nerve by equality of truncations.
 
     The key of a simplex is the truncation of its flag.  It is computed
@@ -240,7 +240,7 @@ def congruence_quotient(part: OrderedPartition, side: str, j=None,
     is b's key read along the flag map of w.  The key relation must be
     a simplicial congruence; quotient_by_key re-checks that on the
     closed classes and raises if propagation ever merges differently
-    keyed simplices.
+    keyed simplices.  The nerve is ``res.maps[0].source``.
     """
     P = chain_poset(part) if j is None else chain_poset_at(part, j)
     N = nerve(P, top_dim=top_dim)
@@ -252,7 +252,7 @@ def congruence_quotient(part: OrderedPartition, side: str, j=None,
             return k
         return tuple(k[v] for v in flag_map(s.word, s.base[0]))
 
-    return quotient_by_key(N, key, top_dim=top_dim), N
+    return quotient_by_key(N, key, top_dim=top_dim)
 
 
 def mapping_space(part: OrderedPartition, mode: str, j=None,
@@ -264,9 +264,9 @@ def mapping_space(part: OrderedPartition, mode: str, j=None,
     distinguished vertices of the fully collapsed nerve.
     """
     if mode == "right":
-        res, _ = congruence_quotient(part, "R", j=j, top_dim=top_dim)
+        res = congruence_quotient(part, "R", j=j, top_dim=top_dim)
     elif mode == "two_sided":
-        res, _ = congruence_quotient(part, "A", top_dim=top_dim)
+        res = congruence_quotient(part, "A", top_dim=top_dim)
     else:
         raise ValueError(f"unknown mapping-space mode {mode!r}")
     return res.complex
@@ -294,9 +294,8 @@ def _part_nerve(part: OrderedPartition, dec: Decorated | None) -> Decorated:
 def collapse_upper(part: OrderedPartition, dec: Decorated | None = None) -> Collapse:
     """The nerve with the upper part crushed to a point."""
     dec = _part_nerve(part, dec)
-    res, qdec = collapse_to_point(dec, [part.upper])
-    base1 = res.maps[0](nondeg(0, 0)).base
-    return Collapse(qdec, res.maps[1], None, base1)
+    quot, qdec, (base1,) = collapse_to_point(dec, [part.upper])
+    return Collapse(qdec, quot, None, base1)
 
 
 def collapse_both(part: OrderedPartition, dec: Decorated | None = None) -> Collapse:
@@ -304,10 +303,8 @@ def collapse_both(part: OrderedPartition, dec: Decorated | None = None) -> Colla
     the lower part's point comes first, then the upper part's, then the
     cells of the nerve that neither part contains, in their order."""
     dec = _part_nerve(part, dec)
-    res, qdec = collapse_to_point(dec, [part.lower, part.upper])
-    base0 = res.maps[0](nondeg(0, 0)).base
-    base1 = res.maps[1](nondeg(0, 0)).base
-    return Collapse(qdec, res.maps[2], base0, base1)
+    quot, qdec, bases = collapse_to_point(dec, [part.lower, part.upper])
+    return Collapse(qdec, quot, *bases)
 
 
 # -- the derived marking on chain-poset edges --------------------------

@@ -307,8 +307,9 @@ def cone_fiber_span(src: Decorated, y, max_dim: int) -> ConeFiberSpan:
 def _collapse_tail(dec: Decorated, first: int):
     """Quotient of a decorated standard simplex collapsing the face on
     the positions from ``first`` up to a point."""
-    res, qdec = collapse_to_point(dec, [range(first, dec.space.top_dim + 1)])
-    return qdec, res.maps[1]
+    quot, qdec, _ = collapse_to_point(
+        dec, [range(first, dec.space.top_dim + 1)])
+    return qdec, quot
 
 
 def _induced_on_quotient(qsrc, src_quot_map, qtgt, tgt_quot_map, raw):

@@ -123,7 +123,8 @@ def realize(F: VertexCosimplicial, X: SimplicialSet) -> GlueResult:
 
     The result's pieces are indexed by the nondegenerate cells of X in
     sorted order; ``maps[k]`` embeds (not necessarily injectively) the
-    value of F at the k-th cell.
+    value of F at the k-th cell.  A cell's members are its nondegenerate
+    preimages under these maps, in piece order and then cell order.
     """
     cells = sorted(X.all_cells())
     pos = {c: k for k, c in enumerate(cells)}

@@ -18,7 +18,7 @@ from ..core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
 from ..core.maps import SimplicialMap, map_by_vertices, simplex_by_chain
 from ..core.ops import ProductData, product
 from ..core.poset import Poset, nerve, total_order
-from ..core.simplex import Simplex
+from ..core.simplex import Simplex, nondeg
 from ..decor import Decorated
 from .cosimplicial import mirror_join_object, realize
 from .simplexlike import mirror, q_complex
@@ -290,11 +290,12 @@ def core_comparison(n: int) -> SimplicialMap:
 
         return map_by_vertices(res.maps[k].source, L.space, rule)
 
-    fs = [piece_map(k) for k in range(len(wcells))]
+    # a cell goes where its first member goes, in piece then cell order
     data = {}
-    for m, groups in res.classes.items():
-        for idx, members in enumerate(groups):
-            k, s = members[0]
-            img = fs[k](s)
-            data[(m, idx)] = Simplex(img.word, of_old[img.base])
+    for k, f in enumerate(res.maps):
+        fk = piece_map(k)
+        for c, img in f.data.items():
+            if not img.word and img.base not in data:
+                s = fk(nondeg(*c))
+                data[img.base] = Simplex(s.word, of_old[s.base])
     return SimplicialMap(res.complex, core, data)

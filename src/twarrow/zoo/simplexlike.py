@@ -96,11 +96,22 @@ def tau_map(n: int) -> SimplicialMap:
 # -- cores inside q_complex(n) -----------------------------------------
 
 
+def _check_core_index(n: int, i: int):
+    if not 0 < i <= n:
+        raise ValueError(f"core index i={i} outside the range 1..{n}")
+
+
+def q_core_ambient(n: int, i: int) -> Decorated:
+    """The decorated simplex the i-th core of level n lives in: the
+    diamond variant at i = n, q_complex(n) below it."""
+    _check_core_index(n, i)
+    return q_diamond(n) if i == n else q_complex(n)
+
+
 def q_core_cells(n: int, i: int) -> set:
     """Cells whose vertex set stays on one side or misses a mirror pair
     other than i's."""
-    if not 0 < i <= n:
-        raise ValueError(f"core parameter i={i} out of range for n={n}")
+    _check_core_index(n, i)
     X = standard_simplex(2 * n + 1)
     out = set()
     for c in X.all_cells():

@@ -101,6 +101,27 @@ def test_infrastructure_invariants():
     run("infrastructure", 120)
 
 
+SEED_3_CHECKS = [
+    ("comparison-maps", True,
+     "retractions split and 39 named-map reports pass"),
+    ("cone-fiber", True, "projection lifts 9 squares; control fails"),
+    ("infrastructure", True, "10 complexes, 87 posets, 27 round trips"),
+    ("kappa-strata", True, "1256 dull-family strata match"),
+    ("ladder-identities", True,
+     "prism splitting, sizes, self-duality, scaled shifts"),
+    ("mapping-spaces", True,
+     "360 oracle comparisons and both segment examples"),
+    ("pivot-certificates", True,
+     "explicit example, negative control, and 6 built-in runs"),
+    ("scaling-counts", True,
+     "closed-form counts and mirror invariance at n <= 4"),
+    ("staircase-decomposition", True,
+     "16 staircase windows and 3 certificates"),
+    ("tw-cartesian", True, "simplex dimensions 0, 1, 2: 191 squares lifted"),
+    ("tw-oracle", True, "24 posets matched at depth 3"),
+]
+
+
 def test_suite_is_deterministic():
     import json
 
@@ -109,5 +130,9 @@ def test_suite_is_deterministic():
         return json.dumps(report, indent=2, sort_keys=True)
 
     first = capture()
-    assert json.loads(first)["ok"] is True
+    report = json.loads(first)
+    assert report["ok"] is True
+    # every report line, pinned
+    assert [(c["check"], c["ok"], c["detail"])
+            for c in report["checks"]] == SEED_3_CHECKS
     assert capture() == first

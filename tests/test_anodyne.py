@@ -268,7 +268,7 @@ def test_each_tampering_is_refused_at_its_step():
 def test_a_degenerate_missing_face_is_refused():
     # crushing the edge {0, 2} of Delta^2 makes d1 of its triangle
     # degenerate
-    _, dec = collapse_to_point(sharp(standard_simplex(2)), [{0, 2}])
+    _, dec, _ = collapse_to_point(sharp(standard_simplex(2)), [{0, 2}])
     X = dec.space
     assert X.face(nondeg(2, 0), 1).word
     below = frozenset(c for c in X.all_cells() if c[0] <= 1)
@@ -292,6 +292,15 @@ def test_a_degenerate_missing_face_is_refused():
      "cell 5 is not a"),
     ({"start": [], "steps": [[2, 1]], "end": []},
      "malformed certificate document"),
+    ({"start": [], "steps": [{"n": "3", "i": 1, "attach": [3, 0]}],
+      "end": []}, "step entry 'n' is '3', not of type int"),
+    ({"start": [], "steps": [{"n": 3, "i": 1.5, "attach": [3, 0]}],
+      "end": []}, "step entry 'i' is 1.5, not of type int"),
+    ({"start": [], "steps": [{"n": 3, "i": True, "attach": [3, 0]}],
+      "end": []}, "step entry 'i' is True, not of type int"),
+    ({"start": [], "steps": [{"class": ["x"], "n": 3, "i": 1,
+                              "attach": [3, 0]}], "end": []},
+     r"step entry 'class' is \['x'\], not of type str"),
 ])
 def test_certificate_reader_refuses_malformed_documents(doc, message):
     with pytest.raises(ValueError, match=message):

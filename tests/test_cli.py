@@ -113,7 +113,7 @@ def test_export_unknown_object():
         export_text("json", "mystery", 1)
 
 
-def test_zoo_build_cli(tmp_path):
+def test_zoo_build_cli(tmp_path, capsys):
     out = tmp_path / "q1.json"
     assert main(["zoo", "build", "q", "--n", "1",
                  "--json", str(out)]) == 0
@@ -123,6 +123,14 @@ def test_zoo_build_cli(tmp_path):
     assert out.read_bytes() == first
     assert main(["zoo", "build", "k", "--n", "2", "--i", "2"]) == 0
     assert main(["zoo", "build", "k", "--n", "0"]) == 2
+    # FIBSTEP_CAP bounds the certificates, not the zoo's cores
+    assert main(["zoo", "build", "k", "--n", "4", "--i", "2"]) == 0
+    capsys.readouterr()
+    for name, n, i in (("k", 2, 0), ("k", 2, 3), ("kcal", 2, 3)):
+        assert main(["zoo", "build", name, "--n", str(n),
+                     "--i", str(i)]) == 2
+        assert f"core index i={i} outside the range 1..{n}" in \
+            capsys.readouterr().err
 
 
 def test_oversized_simplex_fails_fast(capsys):

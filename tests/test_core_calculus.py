@@ -10,7 +10,8 @@ degeneracies.  ``_reference_quotient`` is the earlier
 ``quotient_by_key`` on top of it, ``_reference_collapse`` the earlier
 ``collapse_to_point`` as one ``glue``, and ``_reference_degenerate`` the
 earlier one-letter ``degenerate`` the others build on.  The kernels
-must give the same counts, faces, labels, maps and classes.
+must give the same counts, faces, labels, maps and classes; a kernel's
+classes are read off its maps by ``new_cell_members``.
 """
 
 import importlib
@@ -243,15 +244,29 @@ def assert_same_complex(A, B):
     assert A.labels == B.labels
 
 
+def new_cell_members(maps):
+    """Per dimension, per new cell of the maps' common target: its
+    nondegenerate preimages (piece, simplex), sorted."""
+    target = maps[0].target
+    out = {m: [[] for _ in range(n)] for m, n in target.counts.items()
+           if n}
+    for p, f in enumerate(maps):
+        for c, img in f.data.items():
+            if not img.word:
+                out[c[0]][img.base[1]].append((p, nondeg(*c)))
+    return {m: [sorted(g) for g in groups] for m, groups in out.items()}
+
+
 def assert_same_glue(res, ref):
     out, maps, classes = ref
     assert_same_complex(res.complex, out)
     assert [f.data for f in res.maps] == maps
     # the new cells' classes are the reference's classes without a
     # degenerate member, in the same order
-    assert res.classes == {
-        m: [g for g in groups if not any(s.word for _, s in g)]
-        for m, groups in classes.items()}
+    want = {m: [g for g in groups if not any(s.word for _, s in g)]
+            for m, groups in classes.items()}
+    assert new_cell_members(res.maps) == {m: gs for m, gs in want.items()
+                                          if gs}
 
 
 def assert_same_product(data, ref):
@@ -309,14 +324,17 @@ def _reference_collapse(dec, parts):
                 for v in X.vertices(nondeg(*c))} <= part]
     pts = [point() for _ in parts]
     res = glue(pts + [X], rels)
-    return res, push_decoration(res, [flat(P) for P in pts] + [dec])
+    return res, push_decoration(res.maps, [flat(P) for P in pts] + [dec])
 
 
 def assert_same_collapse(got, ref):
-    (res, qdec), (want, wdec) = got, ref
-    assert_same_complex(res.complex, want.complex)
-    assert [f.data for f in res.maps] == [f.data for f in want.maps]
-    assert res.classes == want.classes
+    (quot, qdec, points), (want, wdec) = got, ref
+    assert_same_complex(quot.target, want.complex)
+    # the gluing's k-th piece is the point of parts[k]
+    maps = [SimplicialMap(point(), quot.target, {(0, 0): nondeg(*b)},
+                          check=False) for b in points] + [quot]
+    assert [f.data for f in maps] == [f.data for f in want.maps]
+    assert new_cell_members(maps) == new_cell_members(want.maps)
     assert (qdec.thin, qdec.marked) == (wdec.thin, wdec.marked)
 
 
@@ -473,19 +491,19 @@ def test_collapses_of_parts_sharing_a_vertex_match_the_pushout():
     dec = Decorated(X, thin=frozenset(X.cells(2)),
                     marked=frozenset([(1, 0), (1, 1), (1, 3)]))
     parts = [{0, 1}, {1, 2}]
-    res, qdec = collapse_to_point(dec, parts)
-    assert_same_collapse((res, qdec), _reference_collapse(dec, parts))
+    quot, qdec, points = got = collapse_to_point(dec, parts)
+    assert_same_collapse(got, _reference_collapse(dec, parts))
     cells = [c for c in X.all_cells()
              if any(set(X.labels[c]) <= part for part in parts)]
     sub, data = subcomplex(X, cells)
     inc = SimplicialMap(sub, X, data, check=False)
     push = pushout(to_point(sub), inc)
-    pdec = push_decoration(push, [flat(push.maps[0].source), dec])
-    assert_same_complex(res.complex, push.complex)
-    assert res.maps[2].data == push.maps[1].data
-    assert res.maps[0].data == res.maps[1].data == push.maps[0].data
+    pdec = push_decoration(push.maps, [flat(push.maps[0].source), dec])
+    assert_same_complex(quot.target, push.complex)
+    assert quot.data == push.maps[1].data
+    assert points == [push.maps[0].data[(0, 0)].base] * 2
     assert (qdec.thin, qdec.marked) == (pdec.thin, pdec.marked)
-    assert res.complex.counts == {0: 2, 1: 4, 2: 4, 3: 1}
+    assert quot.target.counts == {0: 2, 1: 4, 2: 4, 3: 1}
 
 
 def test_realize_matches_the_reference(monkeypatch):
@@ -652,7 +670,7 @@ def test_random_products_match_the_reference():
                             _reference_product(X, Y, top_dim))
     # crushing {0, 1} makes an edge of Delta^2 degenerate, so some cells
     # pair simplices that share a collapse, which pair_simplex strips
-    _, crushed = collapse_to_point(flat(standard_simplex(2)), [{0, 1}])
+    _, crushed, _ = collapse_to_point(flat(standard_simplex(2)), [{0, 1}])
     X, Y = crushed.space, standard_simplex(1)
     data = product(X, Y)
     assert_same_product(data, _reference_product(X, Y))

@@ -55,7 +55,7 @@ def _outputs():
         N, lambda s: tuple(max(v[0] - 1, 0)
                            for v in N.vertex_labels(s))).complex
     dec = Decorated(D3)
-    yield "collapse_to_point", collapse_to_point(dec, [{0, 1}])[0].complex
+    yield "collapse_to_point", collapse_to_point(dec, [{0, 1}])[0].target
     yield "glue", glue([D3, standard_simplex(2)],
                        [((0, nondeg(1, 0)), (1, nondeg(1, 2)))]).complex
 

@@ -206,7 +206,7 @@ def _reference_collapse_tail(dec, first):
     rels = [((0, constant_simplex((0, 0), c[0])), (1, inc.data[c]))
             for c in A.all_cells()]
     res = glue([point(), dec.space], rels)
-    qdec = push_decoration(res, [flat(res.maps[0].source), dec])
+    qdec = push_decoration(res.maps, [flat(res.maps[0].source), dec])
     return qdec, res.maps[1]
 
 
@@ -320,7 +320,7 @@ def test_thin_triples_per_base_cell_match_the_restrictions(monkeypatch):
 def test_tw_of_a_crushed_simplex_normalizes_degenerate_witnesses():
     # with {0, 1} crushed, Delta^2 has a degenerate edge, so some valid
     # witnesses factor through a codegeneracy and are normalized down
-    _, dec = collapse_to_point(sharp(standard_simplex(2)), [{0, 1}])
+    _, dec, _ = collapse_to_point(sharp(standard_simplex(2)), [{0, 1}])
     twc = twisted_arrow(dec, 3)
     twc.space.validate()
     tw_projection(twc)[0].validate()

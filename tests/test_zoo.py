@@ -1,17 +1,22 @@
 """Tests for the decorated simplex zoo and the ladder complexes."""
 
+import hashlib
 import itertools
+
+from test_core_calculus import _reference_glue
 
 from twarrow import DIM_CAP
 from twarrow.core import (
     Simplex,
     find_isomorphism,
+    glue,
     map_by_vertices,
     nerve,
     nondeg,
     opposite,
     simplex_by_chain,
     standard_simplex,
+    subcomplex,
     is_closed,
 )
 from twarrow.decor import preserves_decoration
@@ -26,6 +31,7 @@ from twarrow.zoo import (
     core_cells,
     core_comparison,
     ladder_complex,
+    ladder_core_cells,
     ladder_poset,
     ladder_thin_chain,
     ladder_to_prism,
@@ -57,6 +63,7 @@ from twarrow.zoo import (
     wedge_poset,
 )
 from twarrow.core.poset import Poset
+from twarrow.zoo import cosimplicial
 
 
 def thin_labels(dec):
@@ -317,9 +324,64 @@ def test_top_cell_cells_match_the_scan():
 
 
 def test_core_comparison_is_isomorphism():
-    for n in range(2):
+    for n in range(3):
         f = core_comparison(n)
         assert f.is_isomorphism()
+
+
+def _reference_core_comparison(n, monkeypatch):
+    """``core_comparison`` as it was: each new cell of the realization
+    sent where the first member of its class goes, the classes read off
+    the reference gluing."""
+    L = ladder_complex(n)
+    W = nerve(wedge_poset(n))
+    wcells = sorted(W.all_cells())
+    calls = []
+
+    def recording_glue(pieces, rels):
+        calls.append((pieces, list(rels)))
+        return glue(*calls[-1])
+
+    with monkeypatch.context() as m:
+        m.setattr(cosimplicial, "glue", recording_glue)
+        realize(mirror_join_object(), W)
+    (pieces, rels), = calls
+    _, _, classes = _reference_glue(pieces, rels)
+    _, incl = subcomplex(L.space, ladder_core_cells(L))
+    of_old = {s.base: c for c, s in incl.items()}
+
+    def piece_map(k):
+        chain = W.labels[wcells[k]]
+        d = wcells[k][0]
+
+        def rule(v):
+            u = chain[v] if v <= d else chain[2 * d + 1 - v]
+            return (u[0], u[1], 0 if v <= d else 1)
+
+        return map_by_vertices(pieces[k], L.space, rule)
+
+    fs = [piece_map(k) for k in range(len(wcells))]
+    data = {}
+    for m, groups in classes.items():
+        new = [g for g in groups if not any(s.word for _, s in g)]
+        for idx, members in enumerate(new):
+            k, s = members[0]
+            img = fs[k](s)
+            data[(m, idx)] = Simplex(img.word, of_old[img.base])
+    return data
+
+
+def test_core_comparison_matches_the_classes_reference(monkeypatch):
+    for n in range(2):
+        assert core_comparison(n).data == \
+            _reference_core_comparison(n, monkeypatch)
+    # the reference gluing at n = 2 closes about 850,000 pairs (12 s), so
+    # n = 2 is pinned to what the classes-based loop gave: 1,215 cells,
+    # and the sha256 of the sorted items
+    data = core_comparison(2).data
+    assert len(data) == 1215
+    assert hashlib.sha256(repr(sorted(data.items())).encode()).hexdigest() \
+        == "db72172dab8c88bca31b781e0083e127ff5d22884e5ae6f08a7554ed541e869f"
 
 
 def test_ladder_thin_is_minimal_symmetric_closure():
