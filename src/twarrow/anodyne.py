@@ -297,12 +297,10 @@ def pivot_certificate(dec: Decorated, family, *, vertices=None,
     return Certificate(start, tuple(steps), frozenset(stage))
 
 
-def concatenate(space: SimplicialSet, certs, start=None) -> Certificate:
-    """Steps of several runs in sequence over a common ambient."""
-    certs = list(certs)
-    if not certs and start is None:
-        raise ValueError("nothing to concatenate")
-    s = frozenset(certs[0].start if start is None else start)
+def concatenate(space: SimplicialSet, certs, start) -> Certificate:
+    """Steps of several runs in sequence over a common ambient, from the
+    face-closed cells ``start``."""
+    s = frozenset(start)
     steps = tuple(st for c in certs for st in c.steps)
     stage = set(s)
     for st in steps:

@@ -86,7 +86,7 @@ def _run_sequence(dec: Decorated, start, runs, end, name: str):
         cert = pivot_certificate(dec, family, vertices=verts, pivot=pivot)
         certs.append(cert)
         stage |= set(cert.end)
-    out = concatenate(space, certs, start=start)
+    out = concatenate(space, certs, start)
     if set(out.end) != set(end):
         raise CertificateError(f"{name} ends short")
     return out

@@ -44,6 +44,7 @@ from .certificates import (
     fibstep2,
     staircase_pairs,
     staircase_walls,
+    staircase_window,
     xi_certificate,
 )
 from .core.complex import (
@@ -194,6 +195,7 @@ def poset_to_json(P: Poset) -> dict:
 
 @reader("poset")
 def poset_from_json(obj: dict) -> Poset:
+    check_cap("CHAIN_POSET_CAP", len(obj["elements"]), "poset_from_json")
     elems = [decode_label(e) for e in obj["elements"]]
     for a, b in obj["leq"]:
         if not (0 <= a < len(elems) and 0 <= b < len(elems)):
@@ -271,6 +273,8 @@ def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
 
 
 def export_text(kind: str, obj: str, n: int, i: int = 1) -> str:
+    if n < 0:
+        raise ValueError("level n must be nonnegative")
     if obj == "r-hasse":
         P = ladder_poset(n)
         if kind == "json":
@@ -432,10 +436,8 @@ def _check_staircase(cfg: SuiteConfig):
                                f"at n={n} is not the stated wall pair")
             if r > s:
                 # forward staircases carry the walls literally
-                faces = close_cells(
-                    space, [space.face(top, r).base,
-                            space.face(top, 2 * n + 2 - s).base])
-                if walls != [{r}, {2 * n + 2 - s}] or window != faces:
+                if walls != [{r}, {2 * n + 2 - s}] or \
+                        window != staircase_window(L, n, r, s, summand):
                     return False, f"forward walls drift at n={n}, ({r},{s})"
             stage |= top_cell_cells(L, chain)
             windows += 1
@@ -801,9 +803,7 @@ def cmd_poset(args) -> int:
             check_cap("CHAIN_POSET_CAP", args.chain + 1, "--chain")
             P = total_order(args.chain)
         elif args.poset is not None:
-            obj = _load_json(args.poset)
-            check_cap("CHAIN_POSET_CAP", len(obj["elements"]), "--poset")
-            P = poset_from_json(obj)
+            P = poset_from_json(_load_json(args.poset))
         else:
             raise ValueError("mapspace needs --chain or --poset")
         upper = {_parse_label(t) for t in args.upper.split(",")}

@@ -9,16 +9,3 @@ from .ops import (opposite, op_simplex, product, join, glue, pushout,
                   disjoint_union, quotient_by_key)
 from .io import (complex_to_json, complex_from_json, complexes_equal,
                  dot_skeleton, encode_label, decode_label)
-
-__all__ = [
-    "Simplex", "nondeg", "degenerate", "degenerate_word", "flag_map",
-    "SimplicialSet", "point", "standard_simplex", "simplex_cell",
-    "subcomplex", "close_cells", "is_closed", "boundary_cells", "horn_cells",
-    "Poset", "total_order", "nerve", "all_posets", "poset_key",
-    "SimplicialMap", "simplex_by_chain", "map_by_vertices", "unwrap_label",
-    "enumerate_homs", "find_isomorphism",
-    "opposite", "op_simplex", "product", "join", "glue", "pushout",
-    "disjoint_union", "quotient_by_key",
-    "complex_to_json", "complex_from_json", "complexes_equal", "dot_skeleton",
-    "encode_label", "decode_label",
-]

@@ -111,16 +111,6 @@ class Poset:
         els = self.elements
         return [tuple(els[i] for i in c) for c in levels[-1]]
 
-    def height(self) -> int:
-        """Number of elements in a longest chain."""
-        up = self._up
-        longest = [0] * len(up)
-        # an element's up-set strictly contains the up-set of each member
-        for i in sorted(range(len(up)), key=lambda i: up[i].bit_count()):
-            longest[i] = 1 + max((longest[j] for j in _bits(up[i])),
-                                 default=0)
-        return max(longest, default=0)
-
     def minima(self):
         return [a for a, below in zip(self.elements, self.down_sizes)
                 if not below]
@@ -172,12 +162,10 @@ def nerve(P: Poset, top_dim: int | None = None) -> SimplicialSet:
 
 
 def _build_nerve(P: Poset, top_dim: int | None) -> SimplicialSet:
-    cap = P.height() - 1
-    if top_dim is not None:
-        cap = min(cap, top_dim)
     levels = []
     size = 0
-    for level in P.chain_levels(cap + 1):
+    for level in P.chain_levels(
+            len(P.elements) if top_dim is None else top_dim + 1):
         if not level:
             break
         size += len(level)

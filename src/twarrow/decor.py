@@ -132,10 +132,11 @@ def collapse_to_point(
     A vertex lies in part k when its label does, and a higher cell when
     all its faces do, that is, all its vertices; those cells form a
     subcomplex, so crushing it merges nothing else, and the result is
-    built directly.  Parts that share a vertex share a point.  The
-    points come first, then the other cells in their order, each with
-    its faces' images and its label; a point takes the label of the
-    first vertex it crushes.
+    built directly.  The parts must be disjoint on the vertices: a
+    vertex in two parts is refused.  The points come first, part k's
+    at ``(0, k)``, then the other cells in their order, each with its
+    faces' images and its label; a point takes the label of the first
+    vertex it crushes.
 
     Returns the quotient map of ``dec.space``, which is what ``glue``
     gives on the same crush, the decoration pushed along it, and the
@@ -144,31 +145,23 @@ def collapse_to_point(
     X = dec.space
     parts = [frozenset(part) for part in parts]
     check_cap("COLLAPSE_CAP", len(parts) + X.size(), "collapse_to_point")
-    last = len(parts)
-    # per vertex, the parts holding it as a bit mask; each part's least
-    # partner through shared vertices names its point
-    mask = {v: sum(1 << k for k, part in enumerate(parts)
-                   if unwrap_label(X.labels.get(v)) in part)
-            for v in X.cells(0)}
-    rep = list(range(last))
-    for bits in mask.values():
-        if bits & (bits - 1):
-            joined = {rep[k] for k in range(last) if bits >> k & 1}
-            rep = [min(joined) if r in joined else r for r in rep]
-    point_of = {r: nondeg(0, i) for i, r in enumerate(sorted(set(rep)))}
-
-    def point_at(bits: int) -> Simplex:
-        # the point of the first part in the mask
-        return point_of[rep[(bits & -bits).bit_length() - 1]]
-
-    counts = {0: len(point_of)}
+    # the part holding each cell, None for none
+    part_of = {}
+    for v in X.cells(0):
+        ks = [k for k, part in enumerate(parts)
+              if unwrap_label(X.labels.get(v)) in part]
+        if len(ks) > 1:
+            raise ValueError(f"collapse parts {ks[0]} and {ks[1]} share "
+                             f"the vertex {v}")
+        part_of[v] = ks[0] if ks else None
+    counts = {0: len(parts)}
     named, image = {}, {}
-    for v, bits in mask.items():
-        if bits:
-            image[v] = point_at(bits)
-        else:
+    for v, k in part_of.items():
+        if k is None:
             image[v] = nondeg(0, counts[0])
             counts[0] += 1
+        else:
+            image[v] = nondeg(0, k)
         if v in X.labels:
             named.setdefault(image[v].base, X.labels[v])
     # in cell order, as glue lists them
@@ -179,9 +172,10 @@ def collapse_to_point(
         for c in X.cells(m):
             row = X.faces[c]
             # the first and last faces hold all the cell's vertices
-            bits = mask[c] = mask[row[0].base] & mask[row[-1].base]
-            if bits:
-                image[c] = constant_simplex(point_at(bits).base, m)
+            k = part_of[row[0].base]
+            part_of[c] = k = k if k == part_of[row[-1].base] else None
+            if k is not None:
+                image[c] = constant_simplex((0, k), m)
                 continue
             image[c] = nondeg(m, counts[m])
             counts[m] += 1
@@ -193,7 +187,7 @@ def collapse_to_point(
     quot = SimplicialMap(X, SimplicialSet(counts, faces, labels), image,
                          check=False)
     return (quot, push_decoration([quot], [dec]),
-            [point_of[r].base for r in rep])
+            [(0, k) for k in range(len(parts))])
 
 
 def op_decoration(dec: Decorated, Xop: SimplicialSet) -> Decorated:

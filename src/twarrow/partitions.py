@@ -34,7 +34,7 @@ from .core.ops import GlueResult, quotient_by_key
 from .core.poset import Poset, nerve, total_order
 from .core.simplex import Simplex, flag_map
 from .decor import Decorated, collapse_to_point, flat
-from .zoo import boxplus_complex, join_parts, q_complex, square_complex, star_complex
+from .zoo import boxplus_complex, q_complex, square_complex, star_complex
 
 SIDES = ("R", "L", "A")
 
@@ -100,14 +100,17 @@ def cone_partition(kind: str, n: int) -> OrderedPartition:
     """The vertex poset of a ``q``, ``star``, ``boxplus`` or ``square``
     complex split into its two parts, without building the complex."""
     if kind == "q":
-        return make_partition(total_order(2 * n + 1), range(n + 1),
-                              range(n + 1, 2 * n + 2))
-    lo, hi = join_parts(kind, n)
-    if kind == "square":
+        P, lo, hi = total_order(2 * n + 1), range(n + 1), range(n + 1, 2 * n + 2)
+    elif kind == "star":
+        P, lo, hi = total_order(n + 1), range(n + 1), (n + 1,)
+    elif kind == "boxplus":
+        P, lo, hi = total_order(2 * n + 2), range(n + 1), range(n + 1, 2 * n + 3)
+    elif kind == "square":
         P = total_order(n).product(total_order(1))
+        lo = [(i, 0) for i in range(n + 1)]
+        hi = [(i, 1) for i in range(n + 1)]
     else:
-        # star and boxplus split a chain
-        P = total_order(len(lo) + len(hi) - 1)
+        raise ValueError(f"unknown cone kind {kind!r}")
     return make_partition(P, lo, hi)
 
 
@@ -259,13 +262,20 @@ def mapping_space(part: OrderedPartition, mode: str, j=None,
                   top_dim: int | None = None) -> SimplicialSet:
     """The chain-poset model of a mapping space of the collapsed nerve.
 
-    Mode "right" takes a lower vertex j and models maps from j to the
-    collapsed upper part; mode "two_sided" models maps between the two
-    distinguished vertices of the fully collapsed nerve.
+    Mode "right" takes a lower vertex j, which it requires, and models
+    maps from j to the collapsed upper part; mode "two_sided" takes no
+    j and models maps between the two distinguished vertices of the
+    fully collapsed nerve.
     """
     if mode == "right":
+        if j is None:
+            raise ValueError("mapping-space mode 'right' needs a lower "
+                             "vertex j")
         res = congruence_quotient(part, "R", j=j, top_dim=top_dim)
     elif mode == "two_sided":
+        if j is not None:
+            raise ValueError("mapping-space mode 'two_sided' takes no "
+                             "vertex j")
         res = congruence_quotient(part, "A", top_dim=top_dim)
     else:
         raise ValueError(f"unknown mapping-space mode {mode!r}")

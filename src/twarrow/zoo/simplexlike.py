@@ -211,14 +211,3 @@ def square_complex(n: int, variant: str = "early") -> tuple[Decorated, ProductDa
             thin.add(c)
     return Decorated(X, thin=thin), data
 
-
-def join_parts(kind: str, n: int):
-    """The two-sided vertex split (lower part, upper part) of a cone."""
-    if kind == "star":
-        return tuple(range(n + 1)), (n + 1,)
-    if kind == "boxplus":
-        return tuple(range(n + 1)), tuple(range(n + 1, 2 * n + 3))
-    if kind == "square":
-        return (tuple((i, 0) for i in range(n + 1)),
-                tuple((i, 1) for i in range(n + 1)))
-    raise ValueError(f"unknown cone kind {kind!r}")

@@ -222,7 +222,7 @@ def test_certificate_in_a_face_of_a_bigger_ambient():
 def test_concatenate_replays():
     dec = q_diamond(1)
     a = pivot_certificate(dec, [{0}, {3}])
-    whole = concatenate(dec.space, [a])
+    whole = concatenate(dec.space, [a], a.start)
     assert whole == a
 
 

@@ -113,6 +113,15 @@ def test_export_unknown_object():
         export_text("json", "mystery", 1)
 
 
+@pytest.mark.parametrize("kind", ["json", "dot"])
+@pytest.mark.parametrize("obj", ["q", "tw", "r-hasse"])
+def test_export_refuses_a_negative_level(tmp_path, capsys, kind, obj):
+    out = tmp_path / "out"
+    assert main(["export", kind, obj, "--n", "-1", "--out", str(out)]) == 2
+    assert "level n must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zoo_build_cli(tmp_path, capsys):
     out = tmp_path / "q1.json"
     assert main(["zoo", "build", "q", "--n", "1",
@@ -184,6 +193,17 @@ def test_oversized_chain_poset_fails_fast(capsys, monkeypatch):
                               "--n", "6"],
                      f"16129 elements, cap {CHAIN_ELEMENTS_CAP}")
     assert built == []
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "poset document lacks the 'elements' entry"),
+    ([1, 2], "a poset document is a JSON object, not list"),
+    ({"elements": 5, "leq": []}, "malformed poset document"),
+])
+def test_mapspace_refuses_a_malformed_poset(tmp_path, capsys, doc, message):
+    assert main(["poset", "mapspace", "--poset",
+                 write(tmp_path / "p.json", doc), "--upper", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_oversized_base_poset_fails_fast(capsys, tmp_path):

@@ -37,8 +37,7 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
-from twarrow.decor import (Decorated, collapse_to_point, flat,
-                           push_decoration)
+from twarrow.decor import collapse_to_point, flat, push_decoration
 from twarrow.partitions import (collapse_both, collapse_upper,
                                 mapping_space, ordered_partitions)
 from twarrow.zoo import mirror_join_object, realize
@@ -483,27 +482,13 @@ def test_each_congruence_check_refuses_what_the_reference_refuses():
             quotient_by_key(X, key)
 
 
-def test_collapses_of_parts_sharing_a_vertex_match_the_pushout():
-    # crushing two parts that share a vertex is crushing their union;
-    # the edge 02 joins the two parts, lies in neither, and survives as
-    # a loop at the one point
+def test_collapses_of_parts_sharing_a_vertex_are_refused():
+    # each part is crushed to its own point, so a vertex in two parts
+    # has no single image
     X = standard_simplex(3)
-    dec = Decorated(X, thin=frozenset(X.cells(2)),
-                    marked=frozenset([(1, 0), (1, 1), (1, 3)]))
-    parts = [{0, 1}, {1, 2}]
-    quot, qdec, points = got = collapse_to_point(dec, parts)
-    assert_same_collapse(got, _reference_collapse(dec, parts))
-    cells = [c for c in X.all_cells()
-             if any(set(X.labels[c]) <= part for part in parts)]
-    sub, data = subcomplex(X, cells)
-    inc = SimplicialMap(sub, X, data, check=False)
-    push = pushout(to_point(sub), inc)
-    pdec = push_decoration(push.maps, [flat(push.maps[0].source), dec])
-    assert_same_complex(quot.target, push.complex)
-    assert quot.data == push.maps[1].data
-    assert points == [push.maps[0].data[(0, 0)].base] * 2
-    assert (qdec.thin, qdec.marked) == (pdec.thin, pdec.marked)
-    assert quot.target.counts == {0: 2, 1: 4, 2: 4, 3: 1}
+    with pytest.raises(ValueError,
+                       match="collapse parts 0 and 1 share the vertex"):
+        collapse_to_point(flat(X), [{0, 1}, {1, 2}])
 
 
 def test_realize_matches_the_reference(monkeypatch):

@@ -218,6 +218,11 @@ def test_mapping_space_rejects_bad_input():
         mapping_space(part, "right", j=2)
     with pytest.raises(ValueError, match="mode"):
         mapping_space(part, "sideways")
+    # right mode reads one lower vertex, two-sided mode none
+    with pytest.raises(ValueError, match="mode 'right' needs a lower vertex"):
+        mapping_space(part, "right")
+    with pytest.raises(ValueError, match="mode 'two_sided' takes no vertex"):
+        mapping_space(part, "two_sided", j=0)
 
 
 # -- collapsed nerves --------------------------------------------------
