@@ -94,13 +94,27 @@ def pivot_strata(n, family, pivot) -> dict[int, list[tuple[int, ...]]]:
 
 
 def kappa_stratum_matches(n, family, pivot) -> bool:
-    """The smallest stratum is exactly the basal sets plus the pivot."""
-    strata = pivot_strata(n, family, pivot)
-    kappa = min(strata)
-    if kappa != len(list(family)) + 1:
+    """The smallest stratum of ``pivot_strata`` is exactly the basal
+    sets plus the pivot.
+
+    Only that stratum is built: the sizes are tried upward, and the
+    first with a set that contains the pivot and meets every member is
+    the one compared.
+    """
+    fam = [frozenset(S) for S in family]
+    for kappa in range(1, n + 2):
+        stratum = [X for X in itertools.combinations(range(n + 1), kappa)
+                   if pivot in X and
+                   not any(map(frozenset(X).isdisjoint, fam))]
+        if stratum:
+            break
+    else:
+        raise ValueError(f"no vertex set contains the pivot {pivot} and "
+                         f"meets every member")
+    if kappa != len(fam) + 1:
         return False
-    expect = sorted(tuple(sorted(set(Z) | {pivot})) for Z in basal_sets(family))
-    return strata[kappa] == expect
+    expect = sorted(tuple(sorted(set(Z) | {pivot})) for Z in basal_sets(fam))
+    return stratum == expect
 
 
 def all_disjoint_families(n):

@@ -799,6 +799,8 @@ def cmd_tw(args) -> int:
 
 def cmd_poset(args) -> int:
     if args.mode == "mapspace":
+        if args.top_dim is not None:
+            check_max_dim(args.top_dim, "--top-dim")
         if args.chain is not None:
             check_cap("CHAIN_POSET_CAP", args.chain + 1, "--chain")
             P = total_order(args.chain)

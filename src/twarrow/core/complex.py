@@ -10,6 +10,7 @@ degeneracy words, see :mod:`twarrow.core.simplex`.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .. import CAPS, check_cap
 from .simplex import (
@@ -25,6 +26,9 @@ from .simplex import (
 )
 
 Cell = tuple[int, int]
+
+# a handle's base tuple
+_base_of = operator.itemgetter(1)
 
 
 class SimplicialSet:
@@ -45,11 +49,11 @@ class SimplicialSet:
     def cells(self, dim: int):
         """The cells of one dimension, as the shared base tuples of
         their handles."""
-        return (h.base for h in nondeg_row(dim, self.n_cells(dim)))
+        return map(_base_of, nondeg_row(dim, self.n_cells(dim)))
 
     def all_cells(self):
-        for d in sorted(self.counts):
-            yield from self.cells(d)
+        return itertools.chain.from_iterable(
+            self.cells(d) for d in sorted(self.counts))
 
     def size(self) -> int:
         return sum(self.counts.values())
@@ -84,6 +88,15 @@ class SimplicialSet:
             return f
         return Simplex(compose_words(word, f.word, f.dim), f.base)
 
+    def face_row(self, x: Simplex) -> tuple[Simplex, ...]:
+        """d_0 x, ..., d_m x, in canonical form, for x of dimension
+        m >= 1: the face table's own row when x is nondegenerate."""
+        word, base = x
+        if not word:
+            return self.faces[base]
+        return tuple([self.face(x, i)
+                      for i in range(base[0] + len(word) + 1)])
+
     def face_many(self, x: Simplex, indices) -> Simplex:
         """Apply d_i for i in ``indices``, highest first so positions
         keep their meaning relative to the original simplex."""
@@ -101,11 +114,12 @@ class SimplicialSet:
         base_verts = self._base_vertices(x.base)
         if not x.word:
             return base_verts
-        return tuple(base_verts[v] for v in flag_map(x.word, x.base[0]))
+        return tuple(map(base_verts.__getitem__, flag_map(x.word, x.base[0])))
 
     def _base_vertices(self, cell: Cell) -> tuple[Cell, ...]:
-        if cell in self._verts:
-            return self._verts[cell]
+        out = self._verts.get(cell)
+        if out is not None:
+            return out
         d, idx = cell
         if d == 0:
             out = (cell,)
@@ -144,31 +158,43 @@ class SimplicialSet:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
+        """Check the face table: a row of d + 1 faces of dimension d - 1
+        on known cells for every cell of dimension d >= 1, and the
+        simplicial identities d_i d_j = d_{j-1} d_i (i < j) on every
+        nondegenerate simplex of dimension 2 or more.
+
+        The identities are read off the face rows of x's faces: the face
+        table's own row for a nondegenerate face, d_0, ..., d_{d-1} of
+        the face otherwise, each built once per x.
+        """
         for (d, idx), fs in self.faces.items():
             if not (0 <= idx < self.counts.get(d, 0)):
                 raise ValueError(f"face table names unknown cell {(d, idx)}")
             if len(fs) != d + 1:
                 raise ValueError(f"cell {(d, idx)} has {len(fs)} faces, wanted {d + 1}")
-            for f in fs:
-                check_word(f.word, f.base[0])
-                if f.dim != d - 1:
-                    raise ValueError(f"face of {(d, idx)} has dimension {f.dim}")
-                bd, bi = f.base
+            for w, (bd, bi) in fs:
+                check_word(w, bd)
+                if bd + len(w) != d - 1:
+                    raise ValueError(f"face of {(d, idx)} has dimension "
+                                     f"{bd + len(w)}")
                 if not (0 <= bi < self.counts.get(bd, 0)):
-                    raise ValueError(f"face of {(d, idx)} has unknown base {f.base}")
+                    raise ValueError(f"face of {(d, idx)} has unknown base "
+                                     f"{(bd, bi)}")
         for d in self.counts:
             if d >= 1 and not all((d, i) in self.faces for i in range(self.counts[d])):
                 raise ValueError(f"missing face rows in dimension {d}")
         # vertices and edges have no identities to check, and a vertex
         # count read from outside may be large
+        faces = self.faces
         for d in sorted(self.counts):
             if d < 2:
                 continue
             for x in nondeg_row(d, self.counts[d]):
+                rows = [self.face_row(f) for f in faces[x.base]]
                 for j in range(d + 1):
                     for i in range(j):
-                        left = self.face(self.face(x, j), i)
-                        right = self.face(self.face(x, i), j - 1)
+                        left = rows[j][i]
+                        right = rows[i][j - 1]
                         if left != right:
                             raise ValueError(
                                 f"simplicial identity fails on {x.base}: "
@@ -221,15 +247,13 @@ def simplex_cell(n: int, vertices: tuple[int, ...]) -> Cell:
 
 
 def close_cells(X: SimplicialSet, seeds) -> set[Cell]:
-    """Face closure of a set of nondegenerate cells."""
-    out: set[Cell] = set()
-    stack = list(seeds)
-    while stack:
-        c = stack.pop()
-        if c in out:
-            continue
-        out.add(c)
-        stack.extend(X.nondeg_faces(c))
+    """Face closure of a set of nondegenerate cells, one layer of faces
+    at a time."""
+    out: set[Cell] = set(seeds)
+    new = out
+    while new:
+        new = {b for c in new if c[0] for _, b in X.faces[c]} - out
+        out |= new
     return out
 
 

@@ -21,6 +21,10 @@ from .complex import SimplicialSet
 from .simplex import Simplex
 
 
+# the exact types of the atoms a label is built from, as JSON reads them
+_ATOMS = frozenset({int, str, bool, type(None)})
+
+
 def encode_label(lab):
     if lab is None or isinstance(lab, (int, str, bool)):
         return lab
@@ -36,7 +40,10 @@ def decode_label(obj):
     if obj is None or isinstance(obj, (int, str, bool)):
         return obj
     if isinstance(obj, dict) and "t" in obj:
-        return tuple(decode_label(x) for x in obj["t"])
+        items = obj["t"]
+        if _ATOMS.issuperset(map(type, items)):
+            return tuple(items)
+        return tuple(map(decode_label, items))
     if isinstance(obj, dict) and "s" in obj:
         return frozenset(decode_label(x) for x in obj["s"])
     raise TypeError(f"cannot decode label {obj!r}")
@@ -63,16 +70,45 @@ def reader(what: str):
     return wrap
 
 
+def _label_encoder():
+    """``encode_label`` for one document.  A tuple of atoms is encoded
+    without recursion, and each distinct one inside a label is encoded
+    once and the encoded object shared.  Those are keyed by their
+    atoms' exact types too, so that ``(1,)`` and ``(True,)`` stay
+    apart."""
+    shared: dict = {}
+
+    def inner(x):
+        if isinstance(x, tuple):
+            types = tuple(map(type, x))
+            if _ATOMS.issuperset(types):
+                key = (x, types)
+                out = shared.get(key)
+                if out is None:
+                    out = shared[key] = {"t": list(x)}
+                return out
+        return encode_label(x)
+
+    def encode(lab):
+        if not isinstance(lab, tuple):
+            return encode_label(lab)
+        if _ATOMS.issuperset(map(type, lab)):
+            return {"t": list(lab)}
+        return {"t": [inner(x) for x in lab]}
+    return encode
+
+
 def complex_to_json(X: SimplicialSet) -> dict:
     simplices = {}
     for d in sorted(X.counts):
         entry = {"count": X.counts[d]}
         if d >= 1:
             entry["faces"] = [
-                [[list(f.word), f.base[0], f.base[1]] for f in X.faces[(d, i)]]
+                [[list(w), bd, bi] for w, (bd, bi) in X.faces[(d, i)]]
                 for i in range(X.counts[d])]
         simplices[str(d)] = entry
-    labels = {f"{d}:{i}": encode_label(lab) for (d, i), lab in sorted(X.labels.items())}
+    encode = _label_encoder()
+    labels = {f"{d}:{i}": encode(lab) for (d, i), lab in sorted(X.labels.items())}
     out = {"top_dim": X.top_dim, "simplices": simplices}
     if labels:
         out["labels"] = labels
@@ -92,7 +128,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
                 faces[(d, i)] = tuple(
                     Simplex(tuple(w), (bd, bi)) for w, bd, bi in row)
     for key, lab in obj.get("labels", {}).items():
-        d, i = (int(part) for part in key.split(":"))
+        d, i = map(int, key.split(":"))
         if not 0 <= i < counts.get(d, 0):
             raise ValueError(f"label key {key!r} names no cell")
         labels[(d, i)] = decode_label(lab)

@@ -8,8 +8,7 @@ import itertools
 import operator
 
 from .complex import Cell, SimplicialSet, point
-from .simplex import (Simplex, constant_simplex, degenerate_word, nondeg,
-                      simplex_on)
+from .simplex import Simplex, constant_simplex, degenerate_word, nondeg
 
 
 class SimplicialMap:
@@ -30,20 +29,35 @@ class SimplicialMap:
         return degenerate_word(self.data[base], word)
 
     def validate(self) -> None:
-        for c in self.source.all_cells():
-            if c not in self.data:
+        """Check that every cell of the source has an image of its own
+        dimension, naming a cell of the target, and that the map commutes
+        with the faces.
+
+        The faces are checked a row at a time: the images of a cell's
+        faces (``data`` of the face's base when the face has no word)
+        against the face row of the cell's image, which is the target's
+        face table row when the image is nondegenerate and d_0, ..., d_m
+        of the image otherwise.  The first d_i that differs is named.
+        """
+        source, target, data = self.source, self.target, self.data
+        for c in source.all_cells():
+            if c not in data:
                 raise ValueError(f"no image for cell {c}")
-            img = self.data[c]
+            img = data[c]
             if img.dim != c[0]:
                 raise ValueError(f"image of {c} has dimension {img.dim}")
             bd, bi = img.base
-            if not (0 <= bi < self.target.n_cells(bd)):
+            if not (0 <= bi < target.n_cells(bd)):
                 raise ValueError(f"image of {c} names unknown cell {img.base}")
             if c[0] >= 1:
-                for i, f in enumerate(self.source.faces[c]):
-                    if self.target.face(img, i) != self(f):
-                        raise ValueError(
-                            f"map does not commute with d_{i} at {c}")
+                row = tuple([self(f) if f.word else data[f.base]
+                             for f in source.faces[c]])
+                want = target.face_row(img)
+                if row != want:
+                    i = next(i for i, (a, b) in enumerate(zip(row, want))
+                             if a != b)
+                    raise ValueError(
+                        f"map does not commute with d_{i} at {c}")
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
@@ -84,14 +98,14 @@ def simplex_by_chain(Y: SimplicialSet, chain) -> Simplex:
     simplices and most built complexes here are).
     """
     chain = tuple(chain)
-    stripped, word = [], []
-    for t, v in enumerate(chain):
-        if stripped and stripped[-1] == v:
-            word.append(t - 1)
-        else:
-            stripped.append(v)
-    cell = Y.cell_with_label(tuple(stripped))
-    return simplex_on(tuple(sorted(word, reverse=True)), cell)
+    # same[t]: the vertex at t repeats at t + 1, a collapse at t
+    same = list(map(operator.eq, chain, chain[1:]))
+    if not any(same):
+        return nondeg(*Y.cell_with_label(chain))
+    word = tuple([t for t in range(len(same) - 1, -1, -1) if same[t]])
+    stripped = chain[:1] + tuple(itertools.compress(
+        chain[1:], map(operator.not_, same)))
+    return Simplex(word, Y.cell_with_label(stripped))
 
 
 def unwrap_label(lab):
@@ -111,10 +125,13 @@ def map_by_vertices(X: SimplicialSet, Y: SimplicialSet, vertex_fn) -> Simplicial
     once.
     """
     image = {v: vertex_fn(unwrap_label(X.labels.get(v))) for v in X.cells(0)}
-    data = {c: simplex_by_chain(Y, tuple(image[v] for v in
-                                         X.vertices(nondeg(*c))))
-            for c in X.all_cells()}
-    return SimplicialMap(X, Y, data)
+    # the map takes the images without the copy its constructor makes
+    f = SimplicialMap(X, Y, {}, check=False)
+    f.data = {c: simplex_by_chain(Y, map(image.__getitem__,
+                                         X._base_vertices(c)))
+              for c in X.all_cells()}
+    f.validate()
+    return f
 
 
 def enumerate_homs(A: SimplicialSet, X: SimplicialSet, limit: int | None = None):

@@ -144,17 +144,25 @@ def product(X: SimplicialSet, Y: SimplicialSet,
                 all(c in Y.labels for c in Y.cells(0)))
     if labelled:
         vlx, vly = _vertex_label_rows(X), _vertex_label_rows(Y)
+    # the face row of each component simplex, built once
+    rows_x: dict[Simplex, tuple[Simplex, ...]] = {}
+    rows_y: dict[Simplex, tuple[Simplex, ...]] = {}
     for (m, i), (sx, sy) in pairs.items():
         if labelled:
             vx = vlx[sx.base]
             vy = vly[sy.base]
-            labels[(m, i)] = tuple(
-                (vx[a], vy[b]) for a, b in zip(flag_map(sx.word, sx.base[0]),
-                                               flag_map(sy.word, sy.base[0])))
+            labels[(m, i)] = tuple(zip(
+                map(vx.__getitem__, flag_map(sx.word, sx.base[0])),
+                map(vy.__getitem__, flag_map(sy.word, sy.base[0]))))
         if m >= 1:
-            faces[(m, i)] = tuple(
-                pair_simplex(index, X.face(sx, k), Y.face(sy, k))
-                for k in range(m + 1))
+            fx = rows_x.get(sx)
+            if fx is None:
+                fx = rows_x[sx] = X.face_row(sx)
+            fy = rows_y.get(sy)
+            if fy is None:
+                fy = rows_y[sy] = Y.face_row(sy)
+            faces[(m, i)] = tuple([pair_simplex(index, a, b)
+                                   for a, b in zip(fx, fy)])
 
     XY = SimplicialSet(counts, faces, labels)
     pr1 = SimplicialMap(XY, X, {c: p[0] for c, p in pairs.items()}, check=False)

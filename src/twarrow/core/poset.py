@@ -173,12 +173,12 @@ def _build_nerve(P: Poset, top_dim: int | None) -> SimplicialSet:
         levels.append(level)
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, Simplex] = {}
-    els = P.elements
+    element = P.elements.__getitem__
     for d, level in enumerate(levels):
         counts[d] = len(level)
         for h, chain in zip(nondeg_row(d, len(level)), level):
             index[chain] = h
-            labels[h.base] = tuple(els[k] for k in chain)
+            labels[h.base] = tuple(map(element, chain))
             if d >= 1:
                 faces[h.base] = tuple(
                     index[chain[:k] + chain[k + 1:]] for k in range(d + 1))

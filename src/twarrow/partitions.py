@@ -217,8 +217,9 @@ def truncate_chain(part: OrderedPartition, chain, side: str):
     first = sorted_chain(P, chain[0])
     hi = next(s for s in first if s in part.upper)
     lo = next(s for s in reversed(first) if s in part.lower)
-    return tuple(frozenset(s for s in S if (side == "L" or P.leq(s, hi))
-                           and (side == "R" or P.leq(lo, s)))
+    le = P.le
+    return tuple(frozenset(s for s in S if (side == "L" or (s, hi) in le)
+                           and (side == "R" or (lo, s) in le))
                  for S in chain)
 
 

@@ -229,30 +229,25 @@ def band_cells(n: int, L: Ladder, summand: int, predicate) -> set[Cell]:
     return out
 
 
-def _x_leq(u, v) -> bool:
-    # order of the square underlying one summand, on bar-stripped elements
-    (lu, eu), (lv, ev) = u, v
-    return lu <= lv and eu <= ev
-
-
 def core_cells(L: Ladder, summand: int) -> set[Cell]:
     """Cells of the doubled-prism core in one summand: chains whose
-    bar-stripped vertex sets fit on a common maximal square chain."""
+    bar-stripped vertex sets fit on a common maximal square chain.
+
+    Stripped to (position, level) pairs and sorted, such a set is a
+    chain of the square exactly when the level never drops between
+    neighbours.
+    """
     lo, hi = summand_eps(summand)
+    # an element of the other summand gets level -1 and is never kept
+    level = {lo: 0, hi: 1}
+    labels = L.space.labels
     out = set()
     for c in L.space.all_cells():
-        chain = L.space.labels[c]
-        if not all(e in (lo, hi) for (_, e, _) in chain):
-            continue
-        stripped = [(ell, _level_of(e, summand)) for (ell, e, _) in chain]
-        if all(_x_leq(u, v) or _x_leq(v, u)
-               for u, v in itertools.combinations(stripped, 2)):
+        levels = [v for _, v in sorted([(ell, level.get(e, -1))
+                                        for ell, e, _ in labels[c]])]
+        if levels[0] >= 0 and levels == sorted(levels):
             out.add(c)
     return out
-
-
-def _level_of(e: str, summand: int) -> int:
-    return 0 if e == summand_eps(summand)[0] else 1
 
 
 def ladder_core_cells(L: Ladder) -> set[Cell]:

@@ -77,6 +77,30 @@ def test_kappa_lemma_exhaustive_small():
         assert seen > 0
 
 
+def _kappa_reference(n, family, pivot):
+    """The smallest stratum read off every stratum, as ``min`` of
+    ``pivot_strata``."""
+    strata = pivot_strata(n, family, pivot)
+    kappa = min(strata)
+    if kappa != len(list(family)) + 1:
+        return False
+    expect = sorted(tuple(sorted(set(Z) | {pivot}))
+                    for Z in basal_sets(family))
+    return strata[kappa] == expect
+
+
+def test_kappa_stratum_matches_the_full_strata():
+    # every dull family with every pivot position, admissible or not
+    verdicts = set()
+    for n in range(6):
+        for fam, _ in all_dull_families(n):
+            for p in range(n + 1):
+                got = kappa_stratum_matches(n, fam, p)
+                assert got == _kappa_reference(n, fam, p), (n, fam, p)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_disjoint_family_enumeration_is_exact():
     # families of pairwise disjoint nonempty subsets of a k-set are
     # counted by the Bell number of k+1

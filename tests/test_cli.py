@@ -29,7 +29,8 @@ from twarrow.cli import (
 )
 from twarrow.core.complex import (SimplicialSet, simplex_cell,
                                   standard_simplex)
-from twarrow.core.io import complex_to_json, complexes_equal
+from twarrow.core.io import (complex_from_json, complex_to_json,
+                             complexes_equal, encode_label)
 from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.ops import QUOTIENT_CAP
 from twarrow.core.poset import NERVE_CAP, Poset, nerve, total_order
@@ -58,6 +59,49 @@ def test_decorated_round_trip_all_zoo_objects():
                 json.loads(json.dumps(decorated_to_json(dec))))
             assert complexes_equal(dec.space, back.space)
             assert back.thin == dec.thin and back.marked == dec.marked
+
+
+def _reference_complex_json(X):
+    """``complex_to_json`` with every label through the recursive
+    ``encode_label``."""
+    simplices = {}
+    for d in sorted(X.counts):
+        entry = {"count": X.counts[d]}
+        if d >= 1:
+            entry["faces"] = [
+                [[list(f.word), f.base[0], f.base[1]] for f in X.faces[(d, i)]]
+                for i in range(X.counts[d])]
+        simplices[str(d)] = entry
+    out = {"top_dim": X.top_dim, "simplices": simplices}
+    if X.labels:
+        out["labels"] = {f"{d}:{i}": encode_label(lab)
+                         for (d, i), lab in sorted(X.labels.items())}
+    return out
+
+
+def test_complex_json_text_matches_the_recursive_encoder():
+    spaces = []
+    for name in ZOO_NAMES:
+        for n in range(3):
+            try:
+                spaces.append(build_zoo(name, n).space)
+            except ValueError:
+                continue
+    # 1 and True are equal and hash alike, and must still encode apart
+    mixed = standard_simplex(2)
+    mixed.labels.update({
+        (0, 0): (1, "a"), (0, 1): (True, "a"), (0, 2): ((1, "a"), (True, "a")),
+        (1, 0): ((True, "a"), (1, "a"), ((1, "a"), 2)),
+        (1, 1): frozenset({1, "b", (2, True)}),
+        (2, 0): ((frozenset({(1, "a"), 3}), (1, "a")), None, (False, 0))})
+    spaces.append(mixed)
+    for X in spaces:
+        text = json.dumps(complex_to_json(X), sort_keys=True)
+        assert text == json.dumps(_reference_complex_json(X), sort_keys=True)
+        back = complex_from_json(json.loads(text))
+        assert complexes_equal(X, back)
+        # the text keeps each atom's type, so read back it is the same
+        assert json.dumps(complex_to_json(back), sort_keys=True) == text
 
 
 def test_decorated_from_json_rejects_bad_index():
@@ -434,6 +478,17 @@ def test_depth_outside_the_cap_is_refused(tmp_path, capsys, depth):
     assert main(["tw", "build", "--complex", src,
                  "--max-dim", str(depth)]) == 2
     assert bound in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [-1, DIM_CAP + 1])
+def test_mapspace_top_dim_outside_the_cap_is_refused(capsys, depth):
+    assert main(["poset", "mapspace", "--chain", "2", "--upper", "2",
+                 "--top-dim", str(depth)]) == 2
+    out = capsys.readouterr()
+    assert f"--top-dim {depth} outside 0..{DIM_CAP}" in out.err
+    assert "mapping space" not in out.out
+    assert main(["poset", "mapspace", "--chain", "2", "--upper", "2",
+                 "--top-dim", "1"]) == 0
 
 
 # -- the suite ---------------------------------------------------------

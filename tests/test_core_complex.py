@@ -3,10 +3,12 @@ from math import comb
 
 import pytest
 
-from twarrow.core import (Poset, SimplicialMap, all_posets, boundary_cells,
-                          close_cells, horn_cells, is_closed, nerve, nondeg,
-                          simplex_cell, standard_simplex, subcomplex,
+from twarrow.core import (Poset, SimplicialMap, SimplicialSet, all_posets,
+                          boundary_cells, close_cells, complex_from_json,
+                          complex_to_json, horn_cells, is_closed, nerve,
+                          nondeg, simplex_cell, standard_simplex, subcomplex,
                           total_order)
+from twarrow.core.simplex import Simplex
 
 
 def test_standard_simplex_counts_and_validation():
@@ -140,3 +142,39 @@ def test_random_poset_nerves_validate():
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < 0.4]
         nerve(Poset(range(n), pairs)).validate()
+
+
+def test_map_to_a_degenerate_image_names_the_first_failing_face():
+    # the circle: one vertex v and one loop edge L
+    circle = SimplicialSet({0: 1, 1: 1}, {(1, 0): (nondeg(0, 0), nondeg(0, 0))})
+    v = nondeg(0, 0)
+    sv = Simplex((0,), (0, 0))
+    data = {(0, 0): v, (0, 1): v, (0, 2): v,
+            (1, 0): nondeg(1, 0),  # the edge 01 goes round the loop
+            (1, 1): sv, (1, 2): sv,
+            # s_1 s_0 v agrees with the triangle's faces at d_0 and d_1,
+            # not at d_2, which is the edge 01
+            (2, 0): Simplex((1, 0), (0, 0))}
+    with pytest.raises(ValueError,
+                       match=r"^map does not commute with d_2 at \(2, 0\)$"):
+        SimplicialMap(standard_simplex(2), circle, data)
+
+
+def test_wrong_face_names_the_first_failing_identity():
+    X = standard_simplex(3)
+    faces = dict(X.faces)
+    row = list(faces[(3, 0)])
+    row[2] = row[3]  # d_2 of 0123 made 012 instead of 013
+    faces[(3, 0)] = tuple(row)
+    bad = SimplicialSet(X.counts, faces, X.labels)
+    # the first pair i < j that fails is d_0 d_2 = 12 against d_1 d_0 = 13
+    left = Simplex((), simplex_cell(3, (1, 2)))
+    right = Simplex((), simplex_cell(3, (1, 3)))
+    msg = (f"simplicial identity fails on (3, 0): d_0 d_2 = {left} but "
+           f"d_1 d_0 = {right}")
+    with pytest.raises(ValueError) as e:
+        bad.validate()
+    assert str(e.value) == msg
+    with pytest.raises(ValueError) as e:
+        complex_from_json(complex_to_json(bad))
+    assert str(e.value) == msg

@@ -11,7 +11,7 @@ from twarrow.core.maps import (find_isomorphism, map_by_vertices,
 from twarrow.core.ops import pushout, quotient_by_key
 from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import nondeg
-from twarrow.decor import flat, push_decoration
+from twarrow.decor import collapse_to_point, flat, push_decoration, sharp
 from twarrow.partitions import (
     Collapse,
     boxplus_partition,
@@ -256,6 +256,17 @@ def test_collapse_pushes_scaling_forward():
     col = collapse_both(dp.part, dp.dec)
     img = col.quot(simplex_by_chain(col.quot.source, (0, 1, 2)))
     assert img.word == () and col.dec.is_thin(img)
+
+
+def test_collapse_to_point_keeps_markings_and_thinness():
+    # crushing the edge 01 of the sharp triangle leaves the point, the
+    # vertex 2, the two edges into 2 (both marked) and the triangle
+    # (thin), whose image is nondegenerate
+    _, qdec, points = collapse_to_point(sharp(standard_simplex(2)), [{0, 1}])
+    assert points == [(0, 0)]
+    assert qdec.space.counts == {0: 2, 1: 2, 2: 1}
+    assert qdec.marked == {(1, 0), (1, 1)}
+    assert qdec.thin == {(2, 0)}
 
 
 # -- markings ----------------------------------------------------------

@@ -55,6 +55,7 @@ from twarrow.zoo import (
     square_complex,
     star_complex,
     summand_cells,
+    summand_eps,
     swap_element,
     tau_map,
     tau_subset,
@@ -299,6 +300,34 @@ def test_ladder_top_chains_and_bands():
             zero = band_cells(n, L, summand, lambda a: a == 0)
             assert plus & minus == zero
             assert core_cells(L, summand) == zero
+
+
+def _core_cells_reference(L, summand):
+    """The core by the all-pairs rule: every two bar-stripped vertices
+    of the chain comparable in the square."""
+    lo, hi = summand_eps(summand)
+    out = set()
+    for c in L.space.all_cells():
+        chain = L.space.labels[c]
+        if not all(e in (lo, hi) for (_, e, _) in chain):
+            continue
+        stripped = [(ell, 0 if e == lo else 1) for (ell, e, _) in chain]
+        if all((u[0] <= v[0] and u[1] <= v[1]) or
+               (v[0] <= u[0] and v[1] <= u[1])
+               for u, v in itertools.combinations(stripped, 2)):
+            out.add(c)
+    return out
+
+
+def test_core_cells_match_the_all_pairs_rule():
+    for n in range(3):
+        L = ladder_complex(n)
+        for summand in (1, 2):
+            core = core_cells(L, summand)
+            assert core == _core_cells_reference(L, summand)
+            # at n = 0 the square is one chain and the core is all of it
+            assert core <= summand_cells(L, summand)
+            assert (core == summand_cells(L, summand)) == (n == 0)
 
 
 def _scanned_top_cell_cells(L, chain):
