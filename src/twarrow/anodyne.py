@@ -74,41 +74,32 @@ def basal_sets(family) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(pick)) for pick in itertools.product(*fam)})
 
 
-def pivot_strata(n, family, pivot) -> dict[int, list[tuple[int, ...]]]:
-    """Vertex sets to fill, keyed by size, lexicographic within a size.
+def _strata(n, family, pivot):
+    """Yield ``(size, sets)`` for each size that has a vertex set to
+    fill, sizes increasing, the sets lexicographic within a size.
 
     A set qualifies when it contains the pivot and meets every member of
     the family; the smallest size is one more than the family size.
     """
     fam = [frozenset(S) for S in family]
-    out: dict[int, list[tuple[int, ...]]] = {}
     for size in range(1, n + 2):
-        for X in itertools.combinations(range(n + 1), size):
-            xs = frozenset(X)
-            if pivot not in xs:
-                continue
-            if any(not (xs & S) for S in fam):
-                continue
-            out.setdefault(size, []).append(X)
-    return out
+        sets = [X for X in itertools.combinations(range(n + 1), size)
+                if pivot in X and not any(map(frozenset(X).isdisjoint, fam))]
+        if sets:
+            yield size, sets
+
+
+def pivot_strata(n, family, pivot) -> dict[int, list[tuple[int, ...]]]:
+    """Vertex sets to fill, keyed by size (see ``_strata``)."""
+    return dict(_strata(n, family, pivot))
 
 
 def kappa_stratum_matches(n, family, pivot) -> bool:
     """The smallest stratum of ``pivot_strata`` is exactly the basal
-    sets plus the pivot.
-
-    Only that stratum is built: the sizes are tried upward, and the
-    first with a set that contains the pivot and meets every member is
-    the one compared.
-    """
+    sets plus the pivot.  Only that stratum is built."""
     fam = [frozenset(S) for S in family]
-    for kappa in range(1, n + 2):
-        stratum = [X for X in itertools.combinations(range(n + 1), kappa)
-                   if pivot in X and
-                   not any(map(frozenset(X).isdisjoint, fam))]
-        if stratum:
-            break
-    else:
+    kappa, stratum = next(_strata(n, fam, pivot), (None, None))
+    if kappa is None:
         raise ValueError(f"no vertex set contains the pivot {pivot} and "
                          f"meets every member")
     if kappa != len(fam) + 1:

@@ -29,6 +29,8 @@ def encode_label(lab):
     if lab is None or isinstance(lab, (int, str, bool)):
         return lab
     if isinstance(lab, tuple):
+        if _ATOMS.issuperset(map(type, lab)):
+            return {"t": list(lab)}
         return {"t": [encode_label(x) for x in lab]}
     if isinstance(lab, frozenset):
         return {"s": sorted((encode_label(x) for x in lab),
@@ -70,34 +72,6 @@ def reader(what: str):
     return wrap
 
 
-def _label_encoder():
-    """``encode_label`` for one document.  A tuple of atoms is encoded
-    without recursion, and each distinct one inside a label is encoded
-    once and the encoded object shared.  Those are keyed by their
-    atoms' exact types too, so that ``(1,)`` and ``(True,)`` stay
-    apart."""
-    shared: dict = {}
-
-    def inner(x):
-        if isinstance(x, tuple):
-            types = tuple(map(type, x))
-            if _ATOMS.issuperset(types):
-                key = (x, types)
-                out = shared.get(key)
-                if out is None:
-                    out = shared[key] = {"t": list(x)}
-                return out
-        return encode_label(x)
-
-    def encode(lab):
-        if not isinstance(lab, tuple):
-            return encode_label(lab)
-        if _ATOMS.issuperset(map(type, lab)):
-            return {"t": list(lab)}
-        return {"t": [inner(x) for x in lab]}
-    return encode
-
-
 def complex_to_json(X: SimplicialSet) -> dict:
     simplices = {}
     for d in sorted(X.counts):
@@ -107,8 +81,7 @@ def complex_to_json(X: SimplicialSet) -> dict:
                 [[list(w), bd, bi] for w, (bd, bi) in X.faces[(d, i)]]
                 for i in range(X.counts[d])]
         simplices[str(d)] = entry
-    encode = _label_encoder()
-    labels = {f"{d}:{i}": encode(lab) for (d, i), lab in sorted(X.labels.items())}
+    labels = {f"{d}:{i}": encode_label(lab) for (d, i), lab in sorted(X.labels.items())}
     out = {"top_dim": X.top_dim, "simplices": simplices}
     if labels:
         out["labels"] = labels

@@ -125,13 +125,10 @@ def map_by_vertices(X: SimplicialSet, Y: SimplicialSet, vertex_fn) -> Simplicial
     once.
     """
     image = {v: vertex_fn(unwrap_label(X.labels.get(v))) for v in X.cells(0)}
-    # the map takes the images without the copy its constructor makes
-    f = SimplicialMap(X, Y, {}, check=False)
-    f.data = {c: simplex_by_chain(Y, map(image.__getitem__,
-                                         X._base_vertices(c)))
-              for c in X.all_cells()}
-    f.validate()
-    return f
+    data = {c: simplex_by_chain(Y, map(image.__getitem__,
+                                       X._base_vertices(c)))
+            for c in X.all_cells()}
+    return SimplicialMap(X, Y, data)
 
 
 def enumerate_homs(A: SimplicialSet, X: SimplicialSet, limit: int | None = None):
