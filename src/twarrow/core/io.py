@@ -18,7 +18,7 @@ import json
 
 from .. import check_cap
 from .complex import SimplicialSet
-from .simplex import Simplex
+from .simplex import Simplex, nondeg
 
 
 # the exact types of the atoms a label is built from, as JSON reads them
@@ -88,6 +88,19 @@ def complex_to_json(X: SimplicialSet) -> dict:
     return out
 
 
+def _face(counts: dict, cell, entry) -> Simplex:
+    """A face entry ``[word, base_dim, base_idx]`` of ``cell``, on the
+    shared handle of its base, which is range-checked first so that a
+    large index grows no handle table."""
+    w, bd, bi = entry
+    if not (isinstance(bd, int) and isinstance(bi, int)):
+        raise TypeError(f"face of {cell} names the base {(bd, bi)}")
+    if not 0 <= bi < counts.get(bd, 0):
+        raise ValueError(f"face of {cell} has unknown base {(bd, bi)}")
+    h = nondeg(bd, bi)
+    return Simplex(tuple(w), h.base) if w else h
+
+
 @reader("complex")
 def complex_from_json(obj: dict) -> SimplicialSet:
     simplices = {int(d): entry for d, entry in obj["simplices"].items()}
@@ -98,8 +111,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
     for d, entry in simplices.items():
         if d >= 1:
             for i, row in enumerate(entry["faces"]):
-                faces[(d, i)] = tuple(
-                    Simplex(tuple(w), (bd, bi)) for w, bd, bi in row)
+                faces[(d, i)] = tuple(_face(counts, (d, i), f) for f in row)
     for key, lab in obj.get("labels", {}).items():
         d, i = map(int, key.split(":"))
         if not 0 <= i < counts.get(d, 0):

@@ -31,11 +31,6 @@ from .core.simplex import Simplex, nondeg
 SIZE_CAP = CAPS["SIZE_CAP"].value
 
 
-def _bead_ends(X: SimplicialSet, cell: Cell) -> tuple[Cell, Cell]:
-    vs = X.vertices(nondeg(*cell))
-    return vs[0], vs[-1]
-
-
 def _normalize(pieces) -> tuple:
     """Replace degenerate pieces by their cores, discard point pieces."""
     out = []
@@ -88,10 +83,12 @@ def necklace_oracle(X: SimplicialSet, x: Cell, y: Cell, max_dim: int = 2,
     if max_dim > 2:
         raise ValueError("necklace enumeration is capped at dimension 2")
     check_cap("SIZE_CAP", X.size(), "complex too large for necklace_oracle")
+    # the beads out of each vertex, each with its last vertex
     by_start: dict[Cell, list] = {}
     for c in X.all_cells():
         if c[0] >= 1:
-            by_start.setdefault(_bead_ends(X, c)[0], []).append(c)
+            vs = X._base_vertices(c)
+            by_start.setdefault(vs[0], []).append((c, vs[-1]))
 
     arrived = []
     stack = [((), x, max_steps)]
@@ -99,9 +96,9 @@ def necklace_oracle(X: SimplicialSet, x: Cell, y: Cell, max_dim: int = 2,
         beads, at, left = stack.pop()
         if at == y:
             arrived.append(beads)
-        for c in by_start.get(at, ()):
+        for c, end in by_start.get(at, ()):
             if c[0] <= left:
-                stack.append((beads + (c,), _bead_ends(X, c)[1], left - c[0]))
+                stack.append((beads + (c,), end, left - c[0]))
     paths = sorted(b for b in arrived if all(d == 1 for d, _ in b))
     wides = sorted(b for b in arrived if any(d >= 2 for d, _ in b))
     cells2 = []

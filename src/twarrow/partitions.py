@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import CAPS, check_cap
 from .core.complex import Cell, SimplicialSet
@@ -184,15 +184,34 @@ def chain_poset(part: OrderedPartition) -> Poset:
 
 
 def chain_poset_at(part: OrderedPartition, j) -> Poset:
-    """The slice of the chain poset on subsets with smallest element j."""
+    """The slice of the chain poset on subsets with smallest element j:
+    the elements whose least member by ``_rank`` is j, which a chain
+    lists first."""
     if j not in part.lower:
         raise ValueError(f"{j!r} is not in the lower part")
     P = chain_poset(part)
-    keep = [S for S in P.elements if sorted_chain(part.poset, S)[0] == j]
-    return P.subposet(keep)
+    rank = partial(_rank, part.poset)
+    return P.subposet([S for S in P.elements if min(S, key=rank) == j])
 
 
 # -- truncation and its congruences ------------------------------------
+
+
+def _cut(part: OrderedPartition, first: frozenset, side: str) -> frozenset:
+    """The poset elements that the truncation on ``side`` keeps in every
+    set of a flag whose smallest set is the chain ``first``: those up to
+    its first upper element hi ("R"), those from its last lower element
+    lo on ("L"), or both ("A").  A chain lists its lower members before
+    its upper ones, so hi and lo are its upper member of least ``_rank``
+    and its lower member of greatest, and the "R" cut keeps lo."""
+    P = part.poset
+    rank = partial(_rank, P)
+    hi = min(first & part.upper, key=rank)
+    lo = max(first & part.lower, key=rank)
+    le = P.le
+    return frozenset(s for s in P.elements
+                     if (side == "L" or (s, hi) in le)
+                     and (side == "R" or (lo, s) in le))
 
 
 def truncate_chain(part: OrderedPartition, chain, side: str):
@@ -200,10 +219,10 @@ def truncate_chain(part: OrderedPartition, chain, side: str):
 
     Side "R" keeps, in every set, the elements up to the first upper
     element hi of the smallest set; "L" keeps those from its last lower
-    element lo on; "A" keeps both, in one pass: a chain's lower members
-    come before its upper ones, so the "R" cut keeps lo.  Repeated sets
-    are allowed, so the flag of any nerve simplex, degenerate or not,
-    can be fed in.
+    element lo on; "A" keeps both.  Repeated sets are allowed, so the
+    flag of any nerve simplex, degenerate or not, can be fed in.  The
+    flag must ascend, and its smallest set must be totally ordered and
+    meet both parts.
     """
     chain = tuple(frozenset(S) for S in chain)
     if not chain:
@@ -213,14 +232,13 @@ def truncate_chain(part: OrderedPartition, chain, side: str):
             raise ValueError("flag is not ascending")
     if side not in SIDES:
         raise ValueError(f"unknown truncation side {side!r}")
-    P = part.poset
-    first = sorted_chain(P, chain[0])
-    hi = next(s for s in first if s in part.upper)
-    lo = next(s for s in reversed(first) if s in part.lower)
-    le = P.le
-    return tuple(frozenset(s for s in S if (side == "L" or (s, hi) in le)
-                           and (side == "R" or (lo, s) in le))
-                 for S in chain)
+    first = chain[0]
+    sorted_chain(part.poset, first)  # raises unless totally ordered
+    if not (first & part.lower and first & part.upper):
+        raise ValueError(f"{sorted(map(repr, first))} does not meet both "
+                         f"parts")
+    cut = _cut(part, first, side)
+    return tuple(cut & S for S in chain)
 
 
 def simplex_flag(N: SimplicialSet, s: Simplex) -> tuple:
@@ -238,23 +256,30 @@ def congruence_quotient(part: OrderedPartition, side: str, j=None,
                         top_dim: int | None = None) -> GlueResult:
     """Quotient of the chain-poset nerve by equality of truncations.
 
-    The key of a simplex is the truncation of its flag.  It is computed
-    once per nondegenerate cell, from the cell's chain: a degeneracy
-    s_w(b) has b's flag with repeats, and the same first set, so its key
-    is b's key read along the flag map of w.  The key relation must be
-    a simplicial congruence; quotient_by_key re-checks that on the
-    closed classes and raises if propagation ever merges differently
-    keyed simplices.  The nerve is ``res.maps[0].source``.
+    ``side`` is checked first.  The key of a simplex is the truncation
+    of its flag, which cuts every set of the flag with the one set
+    ``_cut`` gives for the flag's first set.  The cuts are made once
+    per chain-poset element, the keys once per nondegenerate cell, from
+    the cell's chain: a degeneracy s_w(b) has b's flag with repeats, and
+    the same first set, so its key is b's key read along the flag map
+    of w.  The key relation must be a simplicial congruence;
+    quotient_by_key re-checks that on the closed classes and raises if
+    propagation ever merges differently keyed simplices.  The nerve is
+    ``res.maps[0].source``.
     """
+    if side not in SIDES:
+        raise ValueError(f"unknown truncation side {side!r}")
     P = chain_poset(part) if j is None else chain_poset_at(part, j)
     N = nerve(P, top_dim=top_dim)
-    keys = {c: truncate_chain(part, N.labels[c], side) for c in N.all_cells()}
+    cut = {S: _cut(part, S, side) for S in P.elements}
+    keys = {c: tuple([cut[chain[0]] & T for T in chain])
+            for c, chain in N.labels.items()}
 
     def key(s: Simplex):
         k = keys[s.base]
         if not s.word:
             return k
-        return tuple(k[v] for v in flag_map(s.word, s.base[0]))
+        return tuple(map(k.__getitem__, flag_map(s.word, s.base[0])))
 
     return quotient_by_key(N, key, top_dim=top_dim)
 

@@ -79,20 +79,30 @@ def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,
     """The n-cells are the F.width(n)-simplices of ``src`` that are thin
     on F's thin triples at [n], factor through no codegeneracy and pass
     ``extra_ok``; ``label(chain, n)`` names a cell by the vertex chain
-    of its witness."""
+    of its witness.
+
+    Whether a simplex factors through a codegeneracy depends on its
+    word alone, so only the simplices on ``F.free_words(n, p)`` are
+    made, over every base cell of dimension p.  The cells of each
+    dimension are the witnesses in sorted order."""
     space = src.space
     counts, faces, labels = {}, {}, {}
     witness, cell_of = {}, {}
     for n in range(max_dim + 1):
         triples = F.thin_triples(n)
+        m = F.width(n)
         found = []
-        for x in space.simplices(F.width(n)):
-            if _collapse_index(F, x, n) is not None:
-                continue
-            if extra_ok is not None and not extra_ok(n, x):
-                continue
-            if src.thin_on(x, triples):
-                found.append(x)
+        for p in sorted(space.counts):
+            if p > m:
+                break
+            words = F.free_words(n, p)
+            for h in nondeg_row(p, space.counts[p]):
+                for w in words:
+                    x = Simplex(w, h.base) if w else h
+                    if extra_ok is not None and not extra_ok(n, x):
+                        continue
+                    if src.thin_on(x, triples):
+                        found.append(x)
         found.sort()
         if found:
             counts[n] = len(found)

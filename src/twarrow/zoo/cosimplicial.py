@@ -8,12 +8,13 @@ simplex of X, glued along faces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ..core.complex import SimplicialSet, standard_simplex
 from ..core.maps import SimplicialMap, map_by_vertices
 from ..core.ops import GlueResult, glue
-from ..core.simplex import flag_map, nondeg
+from ..core.simplex import all_words, flag_map, nondeg
 from .simplexlike import boxplus_thin_triangle, q_thin_triangle, star_thin_triangle
 
 
@@ -27,10 +28,13 @@ class VertexCosimplicial:
     names the thin vertex triples of the scaled value at [d]
     (``q_complex(d)``, ``star_complex(d)``, ``boxplus_complex(d)``).
 
-    Derived from the vertex rule, once per dimension and object:
+    Derived from the vertex rule and kept on the object:
     ``face_positions(d)[k]``, the vertices of the value at [d] that the
-    k-th coface misses, and ``collapse_positions(d)[j]``, the positions
-    p with p and p+1 sent to one vertex by the j-th codegeneracy.
+    k-th coface misses, ``collapse_positions(d)[j]``, the positions
+    p with p and p+1 sent to one vertex by the j-th codegeneracy, and
+    ``free_words(d, p)``, the degeneracy words that hold none of those
+    position sets whole.  The three objects below are made once per
+    process and shared, so each of these tables is derived once.
     """
 
     def __init__(self, width, vertex, thin):
@@ -38,7 +42,7 @@ class VertexCosimplicial:
         self.vertex = vertex
         self.thin = thin
         self._cache: dict[int, SimplicialSet] = {}
-        self._positions: dict[tuple[str, int], tuple] = {}
+        self._positions: dict[tuple, tuple] = {}
 
     def at(self, d: int) -> SimplicialSet:
         if d not in self._cache:
@@ -73,12 +77,25 @@ class VertexCosimplicial:
                 for img in imgs)
         return self._positions["collapse", d]
 
+    def free_words(self, d: int, p: int) -> tuple[tuple[int, ...], ...]:
+        """The words of the width(d)-simplices over a p-dimensional base
+        that hold no ``collapse_positions(d)[j]`` whole: a simplex on
+        one of them factors through no codegeneracy, whatever its base.
+        In the order of ``all_words``."""
+        if ("free", d, p) not in self._positions:
+            collapses = [frozenset(ps) for ps in self.collapse_positions(d)]
+            self._positions["free", d, p] = tuple(
+                w for w in all_words(self.width(d), p)
+                if not any(ps <= set(w) for ps in collapses))
+        return self._positions["free", d, p]
+
     def thin_triples(self, d: int) -> list[tuple[int, int, int]]:
         """The thin vertex triples at [d], in lexicographic order."""
         return [t for t in itertools.combinations(range(self.width(d) + 1), 3)
                 if self.thin(d, t)]
 
 
+@functools.cache
 def mirror_join_object() -> VertexCosimplicial:
     """[d] goes to Delta^{2d+1}, the join of [d] with its reversal."""
 
@@ -90,6 +107,7 @@ def mirror_join_object() -> VertexCosimplicial:
     return VertexCosimplicial(lambda d: 2 * d + 1, vertex, q_thin_triangle)
 
 
+@functools.cache
 def cone_object() -> VertexCosimplicial:
     """[d] goes to Delta^{d+1}, the cone on [d]."""
 
@@ -99,6 +117,7 @@ def cone_object() -> VertexCosimplicial:
     return VertexCosimplicial(lambda d: d + 1, vertex, star_thin_triangle)
 
 
+@functools.cache
 def mirror_cone_object() -> VertexCosimplicial:
     """[d] goes to Delta^{2d+2}, the cone on the mirrored join."""
 

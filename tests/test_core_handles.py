@@ -58,6 +58,8 @@ def _outputs():
     yield "collapse_to_point", collapse_to_point(dec, [{0, 1}])[0].target
     yield "glue", glue([D3, standard_simplex(2)],
                        [((0, nondeg(1, 0)), (1, nondeg(1, 2)))]).complex
+    yield "complex_from_json", complex_from_json(
+        json.loads(json.dumps(complex_to_json(N))))
 
 
 def test_constructors_share_one_handle_per_cell():
@@ -148,7 +150,9 @@ def _refused(read, obj, message):
     assert handle_count() <= before
 
 
-@pytest.mark.parametrize("bad", [-1, 10 ** 9])
+# HANDLE_CAP - 1 would grow the handle table by a whole row if the
+# reader asked for its handle before the range check
+@pytest.mark.parametrize("bad", [-1, HANDLE_CAP - 1, 10 ** 9])
 def test_complex_reader_refuses_a_bad_face_index_first(bad):
     obj = complex_to_json(standard_simplex(2))
     obj["simplices"]["1"]["faces"][0][1] = [[], 0, bad]

@@ -179,7 +179,8 @@ def _reference_squares(p, incl, tops):
 def _reference_search(A, index, allowed=None, injective=False, memo=False):
     """The kernel as it was: the same visiting order, candidates,
     ``allowed`` and ``injective``, with no look-ahead, and with the
-    dead-subtree memo the kernel has since dropped."""
+    dead-subtree memo the kernel has since dropped.  Like the kernel, it
+    yields a new dict per map, which the map then keeps."""
     cells = sorted(A.all_cells())
     n = len(cells)
     frontier = _reference_frontiers(A, cells) if memo else None
@@ -193,7 +194,7 @@ def _reference_search(A, index, allowed=None, injective=False, memo=False):
     while True:
         if k == n:
             found += 1
-            yield assign
+            yield dict(assign)
         else:
             key = None
             if memo:
@@ -262,7 +263,7 @@ def _reference_kernel_lifts(prob):
 
     index = {d: maps.face_index(X, d) for d in B.counts}
     for assign in _reference_search(B, index, allowed, memo=True):
-        yield SimplicialMap(B, X, dict(assign), check=False)
+        yield SimplicialMap(B, X, assign, check=False)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from test_core_calculus import new_cell_members
 
+from twarrow import partitions
 from twarrow.core.complex import standard_simplex
 from twarrow.core.maps import (find_isomorphism, map_by_vertices,
                                simplex_by_chain, to_point)
@@ -13,6 +14,7 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import nondeg
 from twarrow.decor import collapse_to_point, flat, push_decoration, sharp
 from twarrow.partitions import (
+    SIDES,
     Collapse,
     boxplus_partition,
     chain_poset,
@@ -158,6 +160,12 @@ def test_truncate_rejects_non_ascending():
         truncate_chain(part, (F({0, 1, 2}), F({0, 2})), "R")
 
 
+def test_truncate_rejects_a_first_set_inside_one_part():
+    part = q_partition(1).part
+    with pytest.raises(ValueError, match="does not meet both parts"):
+        truncate_chain(part, (F({0, 1}), F({0, 1, 2})), "R")
+
+
 # -- congruences -------------------------------------------------------
 
 
@@ -184,6 +192,14 @@ def test_two_sided_relation_is_coarser():
     S, T = (F({0, 1, 2}),), (F({1, 2}),)
     assert truncate_chain(part, S, "A") == truncate_chain(part, T, "A")
     assert truncate_chain(part, S, "R") != truncate_chain(part, T, "R")
+
+
+def test_congruence_quotient_checks_the_side_first():
+    # an antichain's partition has an empty chain poset, so no key is
+    # ever made that would look at the side
+    part = make_partition(Poset(["a", "b"], []), ["a"], ["b"])
+    with pytest.raises(ValueError, match="unknown truncation side 'Z'"):
+        congruence_quotient(part, "Z")
 
 
 def test_congruences_close_on_compendium():
@@ -334,6 +350,54 @@ def test_chain_posets_match_the_subset_scan():
         assert got.elements == ref.elements
         assert got.le == ref.le
     assert len(parts) == 764 + 12
+
+
+def test_chain_poset_slices_match_the_sorted_chain_filter():
+    n = 0
+    for part in _corpus_partitions():
+        C = chain_poset(part)
+        for j in part.lower:
+            got = chain_poset_at(part, j)
+            ref = C.subposet([S for S in C.elements
+                              if sorted_chain(part.poset, S)[0] == j])
+            assert got.elements == ref.elements and got.le == ref.le
+            n += 1
+    assert n == 1836
+
+
+def _reference_truncate_chain(part, chain, side):
+    """``truncate_chain`` as it was: the first set sorted with
+    ``sorted_chain``, then hi and lo found along it."""
+    P = part.poset
+    first = sorted_chain(P, chain[0])
+    hi = next(s for s in first if s in part.upper)
+    lo = next(s for s in reversed(first) if s in part.lower)
+    return tuple(frozenset(s for s in S if (side == "L" or P.leq(s, hi))
+                           and (side == "R" or P.leq(lo, s)))
+                 for S in chain)
+
+
+def test_cut_keys_match_the_truncation_of_every_flag(monkeypatch):
+    # the key congruence_quotient hands to quotient_by_key, read on
+    # every simplex to dimension 2, degenerate ones included, on every
+    # side and slice
+    seen = []
+    monkeypatch.setattr(partitions, "quotient_by_key",
+                        lambda N, key, top_dim=None: seen.append((N, key)))
+    n = 0
+    for part in _corpus_partitions():
+        for side, j in itertools.product(SIDES, [None, *part.lower]):
+            seen.clear()
+            congruence_quotient(part, side, j=j, top_dim=2)
+            ((N, key),) = seen
+            for s in itertools.chain.from_iterable(
+                    N.simplices(m) for m in range(3)):
+                flag = simplex_flag(N, s)
+                want = _reference_truncate_chain(part, flag, side)
+                assert key(s) == want, (part, side, j, flag)
+                assert truncate_chain(part, flag, side) == want
+                n += 1
+    assert n == 79203
 
 
 def _reference_congruence_quotient(part, side, j=None, top_dim=None):

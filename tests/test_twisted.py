@@ -17,7 +17,8 @@ from twarrow.twisted import (
     WitnessComplex, cone_fiber_complex, cone_fiber_span, retraction_pair,
     slice_outer, slice_projection, tw_comparison, tw_fiber, tw_functor,
     tw_poset, tw_projection, twisted_arrow)
-from twarrow.zoo import boxplus_complex, q_complex, star_complex
+from twarrow.zoo import (boxplus_complex, cone_object, mirror_cone_object,
+                         mirror_join_object, q_complex, star_complex)
 
 
 def chain(n):
@@ -315,6 +316,21 @@ def test_thin_triples_per_base_cell_match_the_restrictions(monkeypatch):
                 assert got == _witness_data(make())
             n += 1
     assert n == 246
+
+
+def test_witnesses_on_free_words_match_the_full_scan():
+    # the three cosimplicial objects, with no extra condition, each cell
+    # and its witness in order
+    srcs = [sharp(standard_simplex(3)), flat(standard_simplex(3)),
+            q_complex(1)] + [sharp(nerve(P)) for P in all_posets(4)]
+    n = 0
+    for F in (mirror_join_object(), cone_object(), mirror_cone_object()):
+        for src in srcs:
+            got = twisted._build(F, twisted._head_label, src, 3)
+            ref = _reference_build(F, twisted._head_label, src, 3)
+            assert list(got.witness.items()) == list(ref.witness.items())
+            n += len(got.witness)
+    assert n == 1330
 
 
 def test_tw_of_a_crushed_simplex_normalizes_degenerate_witnesses():
