@@ -88,17 +88,10 @@ def complex_to_json(X: SimplicialSet) -> dict:
     return out
 
 
-def _face(counts: dict, cell, entry) -> Simplex:
-    """A face entry ``[word, base_dim, base_idx]`` of ``cell``, on the
-    shared handle of its base, which is range-checked first so that a
-    large index grows no handle table."""
-    w, bd, bi = entry
-    if not (isinstance(bd, int) and isinstance(bi, int)):
-        raise TypeError(f"face of {cell} names the base {(bd, bi)}")
-    if not 0 <= bi < counts.get(bd, 0):
-        raise ValueError(f"face of {cell} has unknown base {(bd, bi)}")
-    h = nondeg(bd, bi)
-    return Simplex(tuple(w), h.base) if w else h
+def _share(f: Simplex) -> Simplex:
+    """The face entry f on the shared handle of its base cell."""
+    h = nondeg(*f.base)
+    return Simplex(f.word, h.base) if f.word else h
 
 
 @reader("complex")
@@ -111,7 +104,8 @@ def complex_from_json(obj: dict) -> SimplicialSet:
     for d, entry in simplices.items():
         if d >= 1:
             for i, row in enumerate(entry["faces"]):
-                faces[(d, i)] = tuple(_face(counts, (d, i), f) for f in row)
+                faces[(d, i)] = tuple(
+                    Simplex(tuple(w), (bd, bi)) for w, bd, bi in row)
     for key, lab in obj.get("labels", {}).items():
         d, i = map(int, key.split(":"))
         if not 0 <= i < counts.get(d, 0):
@@ -119,6 +113,9 @@ def complex_from_json(obj: dict) -> SimplicialSet:
         labels[(d, i)] = decode_label(lab)
     X = SimplicialSet(counts, faces, labels)
     X.validate()
+    # only a complex that passed every check takes shared handles, so a
+    # refused document leaves the handle table as it was
+    X.faces = {c: tuple(map(_share, row)) for c, row in X.faces.items()}
     return X
 
 

@@ -299,9 +299,8 @@ def _word_key(faces, img):
 def _plan(A: SimplicialSet, fixed: frozenset):
     """The plan of ``search`` for A with the cells ``fixed`` given,
     everything as positions in the order of ``A.all_cells()``, which is
-    sorted, and built in one walk over the cells.  The last few plans
-    are kept and shared, so the squares against one inclusion build
-    theirs once.
+    sorted.  The last few plans are kept and shared, so the squares
+    against one inclusion build theirs once.
 
     ``cells[p]`` and ``dims[p]`` describe the cell at p, and
     ``keys[p]`` reads its key, the tuple of the images its faces force,
@@ -315,36 +314,29 @@ def _plan(A: SimplicialSet, fixed: frozenset):
     those from level 1 on whose faces are all fixed.
     """
     cells = tuple(A.all_cells())
-    pos = dict(zip(cells, range(len(cells))))
+    pos = {c: p for p, c in enumerate(cells)}
     if not fixed <= pos.keys():
         raise ValueError(f"fixed cells {sorted(fixed - pos.keys())} "
                          f"are not cells of the source")
-    keys, given, free, level = [], [], [], []
-    # ahead[k] grows with the levels; the list for m = -1 goes last
-    ahead: list = []
-    upfront: list = []
-    for p, c in enumerate(cells):
-        row = A.faces.get(c, ())
-        qs = [pos[b] for _, b in row]
-        words = [w for w, _ in row]
-        keys.append(functools.partial(_word_key, tuple(zip(qs, words)))
-                    if any(words) else tuple_getter(qs))
-        face_levels = [level[q] for q in qs]
-        if c in fixed:
-            if any(m >= 0 for m in face_levels):
-                raise ValueError(f"fixed cell {c} has a face that is "
-                                 f"not fixed")
-            given.append(p)
-            level.append(-1)
-            continue
-        k = len(free)
-        if face_levels:
-            m = max(face_levels)
+    faces = [tuple([(pos[b], w) for w, b in A.faces.get(c, ())])
+             for c in cells]
+    keys = tuple([functools.partial(_word_key, fs)
+                  if any(w for _, w in fs)
+                  else tuple_getter([q for q, _ in fs]) for fs in faces])
+    given = tuple(sorted(pos[c] for c in fixed))
+    free = tuple([p for p, c in enumerate(cells) if c not in fixed])
+    level = [-1] * len(cells)
+    for k, p in enumerate(free):
+        level[p] = k
+    for p in given:
+        if any(level[q] >= 0 for q, _ in faces[p]):
+            raise ValueError(f"fixed cell {cells[p]} has a face that is "
+                             f"not fixed")
+    ahead: list = [[] for _ in range(len(free) + 1)]
+    for k, p in enumerate(free):
+        if faces[p]:
+            m = max([level[q] for q, _ in faces[p]])
             if k > m + 1:
-                (ahead[m] if m >= 0 else upfront).append(p)
-        free.append(p)
-        level.append(k)
-        ahead.append([])
-    ahead.append(upfront)
-    dims = tuple(map(operator.itemgetter(0), cells))
-    return cells, dims, tuple(keys), tuple(given), tuple(free), ahead
+                ahead[m].append(p)
+    dims = tuple(c[0] for c in cells)
+    return cells, dims, keys, given, free, ahead

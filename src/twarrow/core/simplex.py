@@ -85,16 +85,14 @@ def nondeg(dim: int, idx: int) -> Simplex:
 
 
 def nondeg_row(dim: int, n: int):
-    """The handles of (dim, 0), ..., (dim, n - 1), in order: a list of
-    the shared ones when n is at most ``HANDLE_CAP``, else those
-    followed by new ones made as they are reached, so a large count read
-    from outside holds no list of them all."""
+    """The handles of (dim, 0), ..., (dim, n - 1), in order: the shared
+    ones, then, from ``HANDLE_CAP`` on, new ones made as they are
+    reached, so a large count read from outside holds no list of them
+    all."""
     shared = min(n, HANDLE_CAP)
     if shared <= 0:
         return iter(())
     nondeg(dim, shared - 1)
-    if n == shared:
-        return _handles[dim][:n]
     return itertools.chain(_handles[dim][:shared],
                            (Simplex((), (dim, i))
                             for i in range(HANDLE_CAP, n)))

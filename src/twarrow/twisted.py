@@ -57,21 +57,13 @@ class WitnessComplex:
     def normalize(self, x: Simplex, n: int) -> Simplex:
         """The cell-level simplex named by an arbitrary valid witness."""
         phi, m = list(range(n + 1)), n
-        while (j := _collapse_index(self.shape, x, m)) is not None:
+        while (j := self.shape.collapse_index(m, x.word)) is not None:
             for p in reversed(self.shape.collapse_positions(m)[j]):
                 x = strip_collapse(x, p)
             phi = [v if v <= j else v - 1 for v in phi]
             m -= 1
         word = collapses_to_word({t for t in range(n) if phi[t] == phi[t + 1]})
         return simplex_on(word, self.cell_of[x])
-
-
-def _collapse_index(F: VertexCosimplicial, x: Simplex, n: int) -> int | None:
-    """The first j for which the n-witness x factors through the j-th
-    codegeneracy, i.e. names the j-th degeneracy of a lower cell."""
-    S = set(x.word)
-    return next((j for j, ps in enumerate(F.collapse_positions(n))
-                 if all(p in S for p in ps)), None)
 
 
 def _build(F: VertexCosimplicial, label, src: Decorated, max_dim: int,

@@ -33,8 +33,9 @@ class VertexCosimplicial:
     k-th coface misses, ``collapse_positions(d)[j]``, the positions
     p with p and p+1 sent to one vertex by the j-th codegeneracy, and
     ``free_words(d, p)``, the degeneracy words that hold none of those
-    position sets whole.  The three objects below are made once per
-    process and shared, so each of these tables is derived once.
+    position sets whole (see ``collapse_index``).  The three objects
+    below are made once per process and shared, so each of these tables
+    is derived once.
     """
 
     def __init__(self, width, vertex, thin):
@@ -77,16 +78,24 @@ class VertexCosimplicial:
                 for img in imgs)
         return self._positions["collapse", d]
 
+    def collapse_index(self, d: int, word) -> int | None:
+        """The first j for which a width(d)-simplex on the degeneracy
+        word ``word`` factors through the j-th codegeneracy, i.e. for
+        which the word holds ``collapse_positions(d)[j]`` whole; None
+        when there is none.  The base of the simplex plays no part."""
+        S = set(word)
+        return next((j for j, ps in enumerate(self.collapse_positions(d))
+                     if S.issuperset(ps)), None)
+
     def free_words(self, d: int, p: int) -> tuple[tuple[int, ...], ...]:
         """The words of the width(d)-simplices over a p-dimensional base
-        that hold no ``collapse_positions(d)[j]`` whole: a simplex on
-        one of them factors through no codegeneracy, whatever its base.
-        In the order of ``all_words``."""
+        that have no ``collapse_index``: a simplex on one of them
+        factors through no codegeneracy, whatever its base.  In the
+        order of ``all_words``."""
         if ("free", d, p) not in self._positions:
-            collapses = [frozenset(ps) for ps in self.collapse_positions(d)]
             self._positions["free", d, p] = tuple(
                 w for w in all_words(self.width(d), p)
-                if not any(ps <= set(w) for ps in collapses))
+                if self.collapse_index(d, w) is None)
         return self._positions["free", d, p]
 
     def thin_triples(self, d: int) -> list[tuple[int, int, int]]:

@@ -161,6 +161,40 @@ def test_complex_reader_refuses_a_bad_face_index_first(bad):
              rf"face of \(1, 0\) has unknown base \(0, {bad}\)")
 
 
+def _far(dim):
+    """A face entry on the last cell of ``dim`` that gets a shared
+    handle."""
+    return [[], dim, HANDLE_CAP - 1]
+
+
+def _declared(*dims):
+    """Entries declaring HANDLE_CAP cells in each of ``dims`` and
+    listing none of their face rows."""
+    return {str(d): {"count": HANDLE_CAP, "faces": []} for d in dims}
+
+
+# each document names the last cell of a dimension that declares
+# HANDLE_CAP cells, each in a dimension of its own, so that reading it
+# grows the handle table by a whole row unless the reader shares
+# handles only after every check
+@pytest.mark.parametrize("simplices, labels, message", [
+    pytest.param({"0": {"count": 2}, "1": {"count": 1, "faces": [
+        [_far(2)] * 3 + [_far(3)] * 3]}, **_declared(2, 3)}, {},
+        r"cell \(1, 0\) has 6 faces, wanted 2", id="long-row"),
+    pytest.param({"0": {"count": HANDLE_CAP}, "1": {"count": 1, "faces": [
+        [_far(0)] * 2]}}, {"1:5": 1},
+        r"label key '1:5' names no cell", id="bad-label"),
+    pytest.param({"5": {"count": 1, "faces": [[_far(4)] * 6]},
+                  **_declared(4)}, {},
+                 r"missing face rows in dimension 4", id="missing-rows"),
+])
+def test_complex_reader_shares_no_handle_before_every_check(
+        simplices, labels, message):
+    _refused(complex_from_json,
+             {"top_dim": max(map(int, simplices)), "simplices": simplices,
+              "labels": labels}, message)
+
+
 @pytest.mark.parametrize("bad", [-1, 10 ** 9])
 def test_map_reader_refuses_a_bad_image_index_first(bad):
     obj = map_to_json(SimplicialMap.identity(standard_simplex(1)))

@@ -244,7 +244,7 @@ def _reference_build(F, label, src, max_dim, extra_ok=None):
         triples = F.thin_triples(n)
         found = []
         for x in space.simplices(F.width(n)):
-            if twisted._collapse_index(F, x, n) is not None:
+            if F.collapse_index(n, x.word) is not None:
                 continue
             if extra_ok is not None and not extra_ok(n, x):
                 continue
