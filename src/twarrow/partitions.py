@@ -24,6 +24,7 @@ single thin triangle bridged by its long edge is the generating case.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -159,16 +160,22 @@ def sorted_chain(P: Poset, S) -> tuple:
 CHAIN_POSET_CAP = CAPS["CHAIN_POSET_CAP"].value
 CHAIN_ELEMENTS_CAP = CAPS["CHAIN_ELEMENTS_CAP"].value
 
-_chain_poset_cache: dict = {}
+_CHAIN_POSET_MEMO_SIZE = 16
+_chain_poset_cache: OrderedDict = OrderedDict()
 
 
 def chain_poset(part: OrderedPartition) -> Poset:
     """All totally ordered subsets starting in the lower part and ending
     in the upper one, under inclusion: the chains of one pass over the
     poset's chain levels with a lower first and an upper last element,
-    by size, then ranks."""
+    by size, then ranks.  Chain posets are memoised: the last 16
+    (``_CHAIN_POSET_MEMO_SIZE``) are kept by poset and parts, and a
+    repeated request returns the kept one, which callers must not
+    change."""
     key = (part.poset.elements, part.poset.le, part.lower, part.upper)
-    if key not in _chain_poset_cache:
+    # pop and put back: the most recent ends last, with no lock needed
+    C = _chain_poset_cache.pop(key, None)
+    if C is None:
         P = part.poset
         check_cap("CHAIN_POSET_CAP", len(P.elements), "chain_poset")
         pe = P.elements
@@ -179,8 +186,11 @@ def chain_poset(part: OrderedPartition) -> Poset:
         check_cap("CHAIN_ELEMENTS_CAP", len(els), "chain_poset")
         els.sort(key=lambda S: (len(S), tuple(sorted(_rank(P, e) for e in S))))
         pairs = [(S, T) for S in els for T in els if S <= T]
-        _chain_poset_cache[key] = Poset(els, pairs)
-    return _chain_poset_cache[key]
+        C = Poset(els, pairs)
+    _chain_poset_cache[key] = C
+    if len(_chain_poset_cache) > _CHAIN_POSET_MEMO_SIZE:
+        _chain_poset_cache.popitem(last=False)
+    return C
 
 
 def chain_poset_at(part: OrderedPartition, j) -> Poset:

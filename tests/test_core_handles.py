@@ -11,10 +11,11 @@ import tracemalloc
 
 import pytest
 
+from twarrow import CAPS
 from twarrow.cli import map_from_json, map_to_json
 from twarrow.core import simplex
-from twarrow.core.complex import (horn_cells, standard_simplex,
-                                  subcomplex)
+from twarrow.core.complex import (SimplicialSet, horn_cells,
+                                  standard_simplex, subcomplex)
 from twarrow.core.io import complex_from_json, complex_to_json
 from twarrow.core.maps import SimplicialMap
 from twarrow.core.ops import glue, join, product, quotient_by_key
@@ -159,6 +160,16 @@ def test_complex_reader_refuses_a_bad_face_index_first(bad):
     obj = json.loads(json.dumps(obj))
     _refused(complex_from_json, obj,
              rf"face of \(1, 0\) has unknown base \(0, {bad}\)")
+
+
+def test_collapse_refuses_past_its_cap_first():
+    # COLLAPSE_CAP vertices and one point: the cap counts both, so the
+    # collapse is refused before it lists a vertex or makes a handle
+    cap = CAPS["COLLAPSE_CAP"].value
+    dec = Decorated(SimplicialSet({0: cap}, {}), set(), set())
+    _refused(lambda d: collapse_to_point(d, [set()]), dec,
+             r"^collapse_to_point: 100001 cells, cap 100000 "
+             r"\(COLLAPSE_CAP\)$")
 
 
 def _far(dim):

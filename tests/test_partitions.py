@@ -108,6 +108,20 @@ def test_chain_poset_cap_is_named():
         chain_poset(part)
 
 
+def test_chain_poset_memo_keeps_only_the_last_few():
+    parts = [part for P in all_posets(5) for part in ordered_partitions(P)]
+    first = chain_poset(parts[0])
+    for part in parts:
+        C = chain_poset(part)
+        assert chain_poset(part) is C
+    assert (len(partitions._chain_poset_cache)
+            <= partitions._CHAIN_POSET_MEMO_SIZE < len(parts))
+    # the first partition's poset has been dropped and is built again
+    again = chain_poset(parts[0])
+    assert again is not first
+    assert again.elements == first.elements and again.le == first.le
+
+
 # -- truncation --------------------------------------------------------
 
 
