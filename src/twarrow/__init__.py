@@ -48,8 +48,9 @@ CAPS = {
         "posets of at most 105 elements; the inclusion pairs grow "
         "quadratically, and 1,953 elements (boxplus at n = 4) take 2 s"),
     "SIZE_CAP": Cap(40, "{} nondegenerate simplices", "a brute-force oracle"),
-    "FIBSTEP_CAP": Cap(3, "n = {}", "the range the tests replay"),
-    "XI_CAP": Cap(2, "n = {}", "the range the tests replay"),
+    "LADDER_CAP": Cap(3, "n = {}", "the largest level whose nerve fits "
+        "NERVE_CAP (12,543 cells; n = 4 has 62,772), checked before the "
+        "ladder poset is built"),
 }
 
 _dim_cap = os.environ.get("TWARROW_DIM_CAP", str(CAPS["DIM_CAP"].value))

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core.complex import Cell, SimplicialSet, close_cells, is_closed
-from .core.io import reader
+from .core.io import are_ints, reader
 from .core.maps import simplex_by_chain, unwrap_label
 from .core.simplex import Simplex, nondeg
 from .decor import Decorated, decorated_subcomplex
@@ -159,7 +159,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def _cell_from_json(entry) -> Cell:
-    if not isinstance(entry, list) or list(map(type, entry)) != [int, int]:
+    if not (isinstance(entry, list) and len(entry) == 2 and are_ints(entry)):
         raise ValueError(f"cell {entry!r} is not a [dim, idx] pair of ints")
     return tuple(entry)
 
@@ -168,7 +168,7 @@ def _typed(step: dict, key: str, kind: type, default=None):
     """The ``key`` entry of a step, which must be a ``kind`` (a bool is
     not an int)."""
     value = step[key] if default is None else step.get(key, default)
-    if type(value) is not kind:
+    if not (are_ints([value]) if kind is int else type(value) is kind):
         raise ValueError(f"step entry {key!r} is {value!r}, not of type "
                          f"{kind.__name__}")
     return value

@@ -1,7 +1,7 @@
 """Concrete filling certificates for the twisted arrow tower.
 
 Three generators, each returning the ambient decoration together with a
-replayable certificate:
+replayable certificate, all built by one sequencer of pivot runs:
 
 - ``fibstep1(n, i)``: the extended core of the mirrored join fills the
   whole simplex through one pivot run.
@@ -20,7 +20,6 @@ verifier by the caller or the tests.
 
 from __future__ import annotations
 
-from . import check_cap
 from .anodyne import (
     CertificateError,
     concatenate,
@@ -40,21 +39,6 @@ from .zoo import (
     q_core_dull_family,
     q_core_extended_cells,
 )
-
-
-def _ambient(n: int, i: int) -> Decorated:
-    check_cap("FIBSTEP_CAP", n, "fibstep1/fibstep2")
-    return q_core_ambient(n, i)
-
-
-def fibstep1(n: int, i: int):
-    """Fill the extended core into the whole mirrored join."""
-    dec = _ambient(n, i)
-    cert = pivot_certificate(dec, q_core_dull_family(n, i))
-    if set(cert.start) != q_core_extended_cells(n, i):
-        raise CertificateError(f"fibstep1({n},{i}) does not start at the "
-                               f"extended core")
-    return dec, cert
 
 
 def fibstep2_family(n: int, i: int, r: int):
@@ -92,9 +76,18 @@ def _run_sequence(dec: Decorated, start, runs, end, name: str):
     return out
 
 
+def fibstep1(n: int, i: int):
+    """Fill the extended core into the whole mirrored join."""
+    dec = q_core_ambient(n, i)
+    runs = [(f"the extended core of fibstep1({n},{i})",
+             tuple(range(2 * n + 2)), q_core_dull_family(n, i), None)]
+    return dec, _run_sequence(dec, q_core_extended_cells(n, i), runs,
+                              dec.space.all_cells(), f"fibstep1({n},{i})")
+
+
 def fibstep2(n: int, i: int):
     """Fill the core into the extended core, one stretch at a time."""
-    dec = _ambient(n, i)
+    dec = q_core_ambient(n, i)
     runs = []
     for mirrored in (False, True):
         for r in range(n, 0, -1):
@@ -152,7 +145,6 @@ def staircase_window(L: Ladder, n: int, r: int, s: int, summand: int):
 
 def xi_certificate(n: int):
     """Fill the doubled-chain core into the whole ladder."""
-    check_cap("XI_CAP", n, "xi_certificate")
     if n < 0:
         raise ValueError(f"n={n} is negative")
     L = ladder_complex(n)

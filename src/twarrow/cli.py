@@ -53,6 +53,7 @@ from .core.complex import (
     standard_simplex,
 )
 from .core.io import (
+    are_ints,
     complex_from_json,
     complex_to_json,
     complexes_equal,
@@ -69,7 +70,7 @@ from .core.maps import (
 )
 from .core.ops import join, opposite, product
 from .core.poset import Poset, all_posets, nerve, total_order
-from .core.simplex import Simplex, nondeg
+from .core.simplex import Simplex, check_word, nondeg
 from .decor import (Decorated, decorated_subcomplex, flat,
                     preserves_decoration, sharp)
 from .fibration import (
@@ -152,6 +153,8 @@ def decorated_from_json(obj: dict) -> Decorated:
     X = complex_from_json(obj)
     for key, dim in (("thin", 2), ("marked", 1)):
         for i in obj.get(key, []):
+            if not are_ints([i]):
+                raise TypeError(f"{key} index {i!r} is not an integer")
             if not 0 <= i < X.n_cells(dim):
                 raise ValueError(f"{key} index {i} names no cell")
     thin = {(2, i) for i in obj.get("thin", [])}
@@ -176,11 +179,17 @@ def map_from_json(obj: dict):
     src = decorated_from_json(obj["source"])
     tgt = decorated_from_json(obj["target"])
     data = {}
-    for key, (word, bd, bi) in obj["data"].items():
+    for key, image in obj["data"].items():
+        word, bd, bi = image
+        if not are_ints((bd, bi, *word)):
+            raise TypeError(f"map data {key!r} image {image!r} is not all "
+                            f"integers")
         d, i = (int(part) for part in key.split(":"))
         if not 0 <= i < src.space.n_cells(d):
             raise ValueError(f"map data key {key!r} names no source cell")
-        data[(d, i)] = Simplex(tuple(word), (bd, bi))
+        word = tuple(word)
+        check_word(word, bd)
+        data[(d, i)] = Simplex(word, (bd, bi))
     return SimplicialMap(src.space, tgt.space, data), src, tgt
 
 
@@ -198,6 +207,8 @@ def poset_from_json(obj: dict) -> Poset:
     check_cap("CHAIN_POSET_CAP", len(obj["elements"]), "poset_from_json")
     elems = [decode_label(e) for e in obj["elements"]]
     for a, b in obj["leq"]:
+        if not are_ints((a, b)):
+            raise TypeError(f"leq pair {[a, b]} is not all integers")
         if not (0 <= a < len(elems) and 0 <= b < len(elems)):
             raise ValueError(f"leq pair {[a, b]} names no element")
     pairs = [(elems[a], elems[b]) for a, b in obj["leq"]]

@@ -51,6 +51,13 @@ def decode_label(obj):
     raise TypeError(f"cannot decode label {obj!r}")
 
 
+def are_ints(values) -> bool:
+    """Whether each of ``values`` is of type int exactly.  JSON reads
+    2.0 as a float and true as a bool, and neither is a count, an index
+    or a word letter, so the readers refuse both."""
+    return {int}.issuperset(map(type, values))
+
+
 def reader(what: str):
     """Decorate the reader of a JSON document so that a document of the
     wrong shape (not an object, an entry missing or of the wrong type)
@@ -99,13 +106,22 @@ def complex_from_json(obj: dict) -> SimplicialSet:
     simplices = {int(d): entry for d, entry in obj["simplices"].items()}
     counts = {d: entry["count"] for d, entry in simplices.items()}
     for d, n in counts.items():
+        if not are_ints([n]):
+            raise TypeError(f"count {n!r} of dimension {d} is not an "
+                            f"integer")
         check_cap("HANDLE_CAP", n, f"complex document, dimension {d}")
     faces, labels = {}, {}
     for d, entry in simplices.items():
         if d >= 1:
             for i, row in enumerate(entry["faces"]):
-                faces[(d, i)] = tuple(
-                    Simplex(tuple(w), (bd, bi)) for w, bd, bi in row)
+                fs = []
+                for f in row:
+                    w, bd, bi = f
+                    if not are_ints((bd, bi, *w)):
+                        raise TypeError(f"face entry {f!r} of cell {(d, i)} "
+                                        f"is not all integers")
+                    fs.append(Simplex(tuple(w), (bd, bi)))
+                faces[(d, i)] = tuple(fs)
     for key, lab in obj.get("labels", {}).items():
         d, i = map(int, key.split(":"))
         if not 0 <= i < counts.get(d, 0):

@@ -111,13 +111,6 @@ class Poset:
         els = self.elements
         return [tuple(els[i] for i in c) for c in levels[-1]]
 
-    def minima(self):
-        return [a for a, below in zip(self.elements, self.down_sizes)
-                if not below]
-
-    def maxima(self):
-        return [a for a, row in zip(self.elements, self._up) if not row]
-
     def __repr__(self):
         rel = sorted((a, b) for a, b in self.le if a != b)
         return f"Poset({list(self.elements)}, {rel})"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .. import check_cap
 from ..core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
 from ..core.maps import SimplicialMap, map_by_vertices, simplex_by_chain
 from ..core.ops import ProductData, product
@@ -102,6 +103,7 @@ class Ladder:
 
 
 def ladder_complex(n: int) -> Ladder:
+    check_cap("LADDER_CAP", n, "ladder_complex")
     P = ladder_poset(n)
     N = nerve(P)
     thin = {c for c in N.cells(2) if ladder_thin_chain(N.labels[c])}

@@ -1,5 +1,7 @@
 """Tests for the generated filling certificates."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +10,8 @@ import pytest
 
 import twarrow
 from twarrow import anodyne, certificates
-from twarrow.anodyne import (CertificateError, dual_certificate,
-                             verify_certificate)
+from twarrow.anodyne import (CertificateError, certificate_to_json,
+                             dual_certificate, verify_certificate)
 from twarrow.certificates import (
     fibstep1,
     fibstep2,
@@ -34,8 +36,13 @@ def check(dec, cert):
     assert ok, (step, reason)
 
 
+# every core index of every level up to 5; level 6 replays too, in
+# about 9 s, and level 7 is refused by SIMPLEX_CAP
+FIBSTEP_SIZES = [(n, i) for n in range(1, 6) for i in range(1, n + 1)]
+
+
 def test_fibstep1_small():
-    for n, i in [(1, 1), (2, 1), (2, 2)]:
+    for n, i in FIBSTEP_SIZES:
         dec, cert = fibstep1(n, i)
         check(dec, cert)
         assert cert.end == frozenset(dec.space.all_cells())
@@ -58,7 +65,7 @@ def test_fibstep2_families_are_disjoint():
 
 
 def test_fibstep2_small():
-    for n, i in [(1, 1), (2, 1), (2, 2)]:
+    for n, i in FIBSTEP_SIZES:
         dec, cert = fibstep2(n, i)
         check(dec, cert)
         assert set(cert.start) == q_core_cells(n, i)
@@ -81,9 +88,10 @@ def test_fibstep_duals_verify():
 
 
 def test_fibstep_caps():
-    with pytest.raises(ValueError):
-        fibstep1(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"dimension 15, cap 14 "
+                                         r"\(SIMPLEX_CAP\)"):
+        fibstep1(7, 1)
+    with pytest.raises(ValueError, match="core index i=3"):
         fibstep2(2, 3)
 
 
@@ -113,15 +121,44 @@ def ladder_core_cells_local(L, summand, n):
 
 
 def test_xi_certificates_verify():
-    for n in range(3):
+    for n in range(4):
         L, cert = xi_certificate(n)
         check(L.dec, cert)
         assert cert.end == frozenset(L.space.all_cells())
 
 
 def test_xi_cap():
-    with pytest.raises(ValueError):
-        xi_certificate(3)
+    with pytest.raises(ValueError, match=r"n = 4, cap 3 \(LADDER_CAP\)"):
+        xi_certificate(4)
+
+
+# sha256 prefixes of the certificate documents at the sizes the
+# generators have built all along, so that a change to any step order
+# or start set shows
+PINNED = {
+    (fibstep1, 1, 1): "c884d82d2d8e0ddb",
+    (fibstep1, 2, 1): "44cf2631f2a227d3",
+    (fibstep1, 2, 2): "39ba8b25090b978e",
+    (fibstep1, 3, 1): "d956f1729164e5bc",
+    (fibstep1, 3, 2): "54d79f929802e624",
+    (fibstep1, 3, 3): "b1baf07fde48691a",
+    (fibstep2, 1, 1): "3d19ec00ae78a2ff",
+    (fibstep2, 2, 1): "e4633c6453b8a853",
+    (fibstep2, 2, 2): "6b92ec4afbc67fea",
+    (fibstep2, 3, 1): "3160ce941b2dd0dd",
+    (fibstep2, 3, 2): "1f89f2fcba9e08a8",
+    (fibstep2, 3, 3): "a625dd10a9ab7ae5",
+    (xi_certificate, 0): "37186d0301160b47",
+    (xi_certificate, 1): "7dfa559b072d8081",
+    (xi_certificate, 2): "880ae08a3b27f34b",
+}
+
+
+def test_certificate_documents_are_pinned():
+    for (gen, *args), digest in PINNED.items():
+        text = json.dumps(certificate_to_json(gen(*args)[1]), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, \
+            (gen.__name__, args)
 
 
 def test_certificate_checks_raise_certificate_errors(monkeypatch):

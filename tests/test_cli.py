@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from twarrow.core.maps import SimplicialMap, map_by_vertices
 from twarrow.core.ops import QUOTIENT_CAP
 from twarrow.core.poset import NERVE_CAP, Poset, nerve, total_order
 from twarrow.core.simplex import Simplex
-from twarrow.decor import Decorated
+from twarrow.decor import Decorated, sharp
 from twarrow.fibration import horn_inclusion
 from twarrow.partitions import CHAIN_ELEMENTS_CAP, CHAIN_POSET_CAP
 
@@ -133,6 +134,55 @@ def test_map_round_trip_validates():
         map_from_json(broken)
 
 
+def test_map_reader_refuses_a_non_canonical_word():
+    f = map_by_vertices(standard_simplex(2), standard_simplex(0), lambda v: 0)
+    for word in ([0, 1], [0, 0], [1, 1], [5, 0], [-1, 0]):
+        doc = map_to_json(f)
+        doc["data"]["2:0"] = [word, 0, 0]
+        with pytest.raises(ValueError, match=re.escape(f"word {tuple(word)}")):
+            map_from_json(doc)
+
+
+def _tampered(obj, path, value):
+    """A copy of the document obj with the entry at path set to value."""
+    doc = json.loads(json.dumps(obj))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    return doc
+
+
+_SEGMENT = complex_to_json(standard_simplex(1))
+_TRIANGLE = decorated_to_json(sharp(standard_simplex(2)))
+_COLLAPSE = map_to_json(map_by_vertices(standard_simplex(1),
+                                        standard_simplex(0), lambda v: 0))
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (complex_from_json, _tampered(_SEGMENT, ["simplices", "0", "count"], 2.0),
+     "count 2.0 of dimension 0 is not an integer"),
+    (complex_from_json,
+     _tampered(_SEGMENT, ["simplices", "1", "faces", 0, 0], [[], 0.0, 1]),
+     "face entry [[], 0.0, 1] of cell (1, 0) is not all integers"),
+    (complex_from_json,
+     _tampered(_SEGMENT, ["simplices", "1", "faces", 0, 0], [[], False, True]),
+     "face entry [[], False, True] of cell (1, 0) is not all integers"),
+    (decorated_from_json, _tampered(_TRIANGLE, ["thin"], [0.0]),
+     "thin index 0.0 is not an integer"),
+    (decorated_from_json, _tampered(_TRIANGLE, ["marked"], [False]),
+     "marked index False is not an integer"),
+    (map_from_json, _tampered(_COLLAPSE, ["data", "1:0"], [[0.0], 0, 0]),
+     "map data '1:0' image [[0.0], 0, 0] is not all integers"),
+    (poset_from_json, {"elements": [0, 1], "leq": [[True, 1]]},
+     "leq pair [True, 1] is not all integers"),
+], ids=["count", "face-float", "face-bool", "thin", "marked", "map-word",
+        "leq"])
+def test_readers_refuse_a_float_or_bool_for_an_integer(read, doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(doc)
+
+
 def test_poset_round_trip():
     P = Poset("abc", [("a", "b"), ("a", "c")])
     Q = poset_from_json(json.loads(json.dumps(poset_to_json(P))))
@@ -187,7 +237,6 @@ def test_zoo_build_cli(tmp_path, capsys):
     assert out.read_bytes() == first
     assert main(["zoo", "build", "k", "--n", "2", "--i", "2"]) == 0
     assert main(["zoo", "build", "k", "--n", "0"]) == 2
-    # FIBSTEP_CAP bounds the certificates, not the zoo's cores
     assert main(["zoo", "build", "k", "--n", "4", "--i", "2"]) == 0
     capsys.readouterr()
     for name, n, i in (("k", 2, 0), ("k", 2, 3), ("kcal", 2, 3)):
@@ -223,8 +272,12 @@ def test_oversized_mapping_space_fails_fast(capsys):
 
 
 def test_oversized_nerve_fails_fast(capsys):
-    _refused_at_once(capsys, ["zoo", "build", "r", "--n", "5"],
-                     f"cells, cap {NERVE_CAP}")
+    # the ladder's level is refused before its poset is built, which
+    # alone takes seconds at n = 300
+    for name, n in (("r", 5), ("r", 300), ("qcal", 1000)):
+        _refused_at_once(capsys, ["zoo", "build", name, "--n", str(n)],
+                         f"n = {n}, cap {CAPS['LADDER_CAP'].value} "
+                         f"(LADDER_CAP)")
 
 
 def test_oversized_interval_poset_fails_fast(capsys):
@@ -275,8 +328,9 @@ def test_oversized_base_poset_fails_fast(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, count, name", [
     ("zoo build t --n 6", "245759 cells", "PRODUCT_CAP"),
-    ("certify paper --which xi --n 3", "n = 3", "XI_CAP"),
-    ("certify paper --which fibstep1 --n 4 --i 1", "n = 4", "FIBSTEP_CAP"),
+    ("certify paper --which xi --n 4", "n = 4", "LADDER_CAP"),
+    ("certify paper --which fibstep1 --n 7 --i 1", "dimension 15",
+     "SIMPLEX_CAP"),
 ])
 def test_generator_caps_fail_fast(capsys, argv, count, name):
     _refused_at_once(capsys, argv.split(),
