@@ -302,18 +302,6 @@ def pivot_certificate(dec: Decorated, family, *, vertices=None,
     return Certificate(start, tuple(steps), frozenset(stage))
 
 
-def concatenate(space: SimplicialSet, certs, start) -> Certificate:
-    """Steps of several runs in sequence over a common ambient, from the
-    face-closed cells ``start``."""
-    s = frozenset(start)
-    steps = tuple(st for c in certs for st in c.steps)
-    stage = set(s)
-    for st in steps:
-        stage.add(st.attach)
-        stage.add(space.face(nondeg(*st.attach), st.i).base)
-    return Certificate(s, steps, frozenset(stage))
-
-
 # -- verification ------------------------------------------------------
 
 

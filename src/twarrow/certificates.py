@@ -20,12 +20,7 @@ verifier by the caller or the tests.
 
 from __future__ import annotations
 
-from .anodyne import (
-    CertificateError,
-    concatenate,
-    dull_start_cells,
-    pivot_certificate,
-)
+from .anodyne import Certificate, CertificateError, pivot_certificate
 from .core.complex import close_cells
 from .core.maps import simplex_by_chain
 from .decor import Decorated
@@ -57,23 +52,23 @@ def fibstep2_family(n: int, i: int, r: int):
 
 def _run_sequence(dec: Decorated, start, runs, end, name: str):
     """Fill ``start`` by one pivot run per entry (label, vertices,
-    family, pivot) of ``runs``, each starting from what the stage holds
-    of its face, and concatenate the runs, which must end at ``end``."""
-    space = dec.space
-    start = frozenset(start)
+    family, pivot) of ``runs``, in order, and return the certificate of
+    all their steps, which must end at ``end``.
+
+    A run fills its whole face from the face closure of its family's
+    facets, so it fits when the stage meets its face in exactly those
+    cells; the stage then gains the face."""
     stage = set(start)
-    certs = []
+    steps = []
     for label, verts, family, pivot in runs:
-        window = close_cells(space, [simplex_by_chain(space, verts).base])
-        if stage & window != dull_start_cells(space, verts, family):
-            raise CertificateError(f"{label} has an unexpected shape")
         cert = pivot_certificate(dec, family, vertices=verts, pivot=pivot)
-        certs.append(cert)
-        stage |= set(cert.end)
-    out = concatenate(space, certs, start)
-    if set(out.end) != set(end):
+        if stage & cert.end != cert.start:
+            raise CertificateError(f"{label} has an unexpected shape")
+        steps.extend(cert.steps)
+        stage |= cert.end
+    if stage != set(end):
         raise CertificateError(f"{name} ends short")
-    return out
+    return Certificate(frozenset(start), tuple(steps), frozenset(stage))
 
 
 def fibstep1(n: int, i: int):

@@ -47,11 +47,7 @@ from .certificates import (
     staircase_window,
     xi_certificate,
 )
-from .core.complex import (
-    close_cells,
-    simplex_cell,
-    standard_simplex,
-)
+from .core.complex import simplex_cell, standard_simplex
 from .core.io import (
     are_ints,
     complex_from_json,
@@ -60,6 +56,8 @@ from .core.io import (
     decode_label,
     dot_skeleton,
     encode_label,
+    hasse_dot,
+    key_ints,
     reader,
 )
 from .core.maps import (
@@ -184,7 +182,7 @@ def map_from_json(obj: dict):
         if not are_ints((bd, bi, *word)):
             raise TypeError(f"map data {key!r} image {image!r} is not all "
                             f"integers")
-        d, i = (int(part) for part in key.split(":"))
+        d, i = key_ints(key, 2, "map", "data key")
         if not 0 <= i < src.space.n_cells(d):
             raise ValueError(f"map data key {key!r} names no source cell")
         word = tuple(word)
@@ -213,25 +211,6 @@ def poset_from_json(obj: dict) -> Poset:
             raise ValueError(f"leq pair {[a, b]} names no element")
     pairs = [(elems[a], elems[b]) for a, b in obj["leq"]]
     return Poset(elems, pairs)
-
-
-def hasse_dot(P: Poset, name: str = "poset") -> str:
-    """Graphviz digraph of the covering relation."""
-    elems = list(P.elements)
-    index = {e: k for k, e in enumerate(elems)}
-    lines = [f"digraph {json.dumps(name)} {{"]
-    for k, e in enumerate(elems):
-        lines.append(f"  v{k} [label={json.dumps(str(e))}];")
-    for a in elems:
-        for b in elems:
-            if a == b or not P.leq(a, b):
-                continue
-            if any(c not in (a, b) and P.leq(a, c) and P.leq(c, b)
-                   for c in elems):
-                continue
-            lines.append(f"  v{index[a]} -> v{index[b]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def fibration_report_json(rep) -> dict:
@@ -440,8 +419,8 @@ def _check_staircase(cfg: SuiteConfig):
         for summand, r, s in staircase_pairs(n):
             chain = ladder_top_chain(n, r, s, summand)
             walls, _ = staircase_walls(n, r, s)
-            top = simplex_by_chain(space, chain)
-            window = stage & close_cells(space, [top.base])
+            top = top_cell_cells(L, chain)
+            window = stage & top
             if window != dull_start_cells(space, chain, walls):
                 return False, (f"window ({r},{s}) of summand {summand} "
                                f"at n={n} is not the stated wall pair")
@@ -450,7 +429,7 @@ def _check_staircase(cfg: SuiteConfig):
                 if walls != [{r}, {2 * n + 2 - s}] or \
                         window != staircase_window(L, n, r, s, summand):
                     return False, f"forward walls drift at n={n}, ({r},{s})"
-            stage |= top_cell_cells(L, chain)
+            stage |= top
             windows += 1
         L2, cert = xi_certificate(n)
         ok, step, reason = verify_certificate(L2.dec, cert)

@@ -8,4 +8,4 @@ from .maps import (SimplicialMap, simplex_by_chain, map_by_vertices,
 from .ops import (opposite, op_simplex, product, join, glue, pushout,
                   disjoint_union, quotient_by_key)
 from .io import (complex_to_json, complex_from_json, complexes_equal,
-                 dot_skeleton, encode_label, decode_label)
+                 dot_skeleton, hasse_dot, encode_label, decode_label)

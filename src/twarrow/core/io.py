@@ -18,6 +18,7 @@ import json
 
 from .. import check_cap
 from .complex import SimplicialSet
+from .poset import Poset
 from .simplex import Simplex, nondeg
 
 
@@ -56,6 +57,22 @@ def are_ints(values) -> bool:
     2.0 as a float and true as a bool, and neither is a count, an index
     or a word letter, so the readers refuse both."""
     return {int}.issuperset(map(type, values))
+
+
+def key_ints(key: str, parts: int, doc: str, what: str) -> tuple[int, ...]:
+    """The ints of a key that reads back exactly as the writers write it,
+    ``parts`` of them joined by ':' (``str(d)``, ``f"{d}:{i}"``).  Any
+    other spelling, even one int() reads (' 1 ', '01', '1_0'), is
+    refused with a ValueError that names the key and the document."""
+    try:
+        ints = tuple(map(int, key.split(":")))
+    except ValueError:
+        ints = ()
+    if len(ints) != parts or ":".join(map(str, ints)) != key:
+        form = ":".join(("<dim>", "<idx>")[:parts])
+        raise ValueError(f"{doc} document: {what} {key!r} is not written "
+                         f"as {form}")
+    return ints
 
 
 def reader(what: str):
@@ -103,7 +120,8 @@ def _share(f: Simplex) -> Simplex:
 
 @reader("complex")
 def complex_from_json(obj: dict) -> SimplicialSet:
-    simplices = {int(d): entry for d, entry in obj["simplices"].items()}
+    simplices = {key_ints(d, 1, "complex", "dimension key")[0]: entry
+                 for d, entry in obj["simplices"].items()}
     counts = {d: entry["count"] for d, entry in simplices.items()}
     for d, n in counts.items():
         if not are_ints([n]):
@@ -123,7 +141,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
                     fs.append(Simplex(tuple(w), (bd, bi)))
                 faces[(d, i)] = tuple(fs)
     for key, lab in obj.get("labels", {}).items():
-        d, i = map(int, key.split(":"))
+        d, i = key_ints(key, 2, "complex", "label key")
         if not 0 <= i < counts.get(d, 0):
             raise ValueError(f"label key {key!r} names no cell")
         labels[(d, i)] = decode_label(lab)
@@ -140,18 +158,29 @@ def complexes_equal(X: SimplicialSet, Y: SimplicialSet) -> bool:
             X.labels == Y.labels)
 
 
+def _digraph(name: str, labels, arcs) -> str:
+    """Graphviz digraph with node v<k> labelled by the k-th of
+    ``labels`` and one line per arc (tail, head, attributes)."""
+    lines = [f"digraph {json.dumps(name)} {{"]
+    lines += [f"  v{k} [label={json.dumps(text)}];"
+              for k, text in enumerate(labels)]
+    lines += [f"  v{tail} -> v{head}{attrs};" for tail, head, attrs in arcs]
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def dot_skeleton(X: SimplicialSet, marked=frozenset(), name="complex") -> str:
     """Graphviz digraph of the 1-skeleton; the edge cells in ``marked``
     are drawn bold."""
-    lines = [f"digraph {json.dumps(name)} {{"]
-    for i in range(X.n_cells(0)):
-        lab = X.labels.get((0, i))
-        text = str(lab) if lab is not None else f"v{i}"
-        lines.append(f"  v{i} [label={json.dumps(text)}];")
-    for i in range(X.n_cells(1)):
-        tail = X.faces[(1, i)][1].base[1]
-        head = X.faces[(1, i)][0].base[1]
-        style = ' [penwidth=2, color="firebrick"]' if (1, i) in marked else ""
-        lines.append(f"  v{tail} -> v{head}{style};")
-    lines.append("}")
-    return "\n".join(lines)
+    labels = (X.labels.get((0, i)) for i in range(X.n_cells(0)))
+    bold = ' [penwidth=2, color="firebrick"]'
+    arcs = ((X.faces[(1, i)][1].base[1], X.faces[(1, i)][0].base[1],
+             bold if (1, i) in marked else "") for i in range(X.n_cells(1)))
+    return _digraph(name, (f"v{i}" if lab is None else str(lab)
+                           for i, lab in enumerate(labels)), arcs)
+
+
+def hasse_dot(P: Poset, name: str = "poset") -> str:
+    """Graphviz digraph of the covering relation."""
+    arcs = ((i, j, "") for i, j in P.covers())
+    return _digraph(name, map(str, P.elements), arcs) + "\n"

@@ -83,6 +83,17 @@ class Poset:
         return Poset([e for e in self.elements if e in keep],
                      [(a, b) for a, b in self.le if a in keep and b in keep])
 
+    def covers(self):
+        """The covering pairs (i, j) by position, in lexicographic order:
+        j lies above i and above no element that lies above i."""
+        up = self._up
+        for i, row in enumerate(up):
+            above = 0
+            for j in _bits(row):
+                above |= up[j]
+            for j in _bits(row & ~above):
+                yield i, j
+
     def chain_levels(self, length: int):
         """Strict chains of 1..``length`` elements as position tuples, one
         list per length, each in lexicographic order; stops after the

@@ -11,11 +11,11 @@ and the whole gadget receives the prism q_complex(n) x Delta^1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .. import check_cap
-from ..core.complex import Cell, SimplicialSet, standard_simplex, subcomplex
+from ..core.complex import (Cell, SimplicialSet, close_cells, standard_simplex,
+                            subcomplex)
 from ..core.maps import SimplicialMap, map_by_vertices, simplex_by_chain
 from ..core.ops import ProductData, product
 from ..core.poset import Poset, nerve, total_order
@@ -54,6 +54,7 @@ def ladder_leq(u, v) -> bool:
 
 
 def ladder_poset(n: int) -> Poset:
+    check_cap("LADDER_CAP", n, "ladder_poset")
     elems = [(ell, e, b) for b in (0, 1) for e in EPS for ell in range(n + 1)]
     pairs = [(u, v) for u in elems for v in elems if u != v and ladder_leq(u, v)]
     return Poset(elems, pairs)
@@ -103,7 +104,6 @@ class Ladder:
 
 
 def ladder_complex(n: int) -> Ladder:
-    check_cap("LADDER_CAP", n, "ladder_complex")
     P = ladder_poset(n)
     N = nerve(P)
     thin = {c for c in N.cells(2) if ladder_thin_chain(N.labels[c])}
@@ -211,13 +211,8 @@ def ladder_top_chain(n: int, r: int, s: int, summand: int):
 
 
 def top_cell_cells(L: Ladder, chain) -> set[Cell]:
-    """All cells of the closed simplex spanned by a chain: one per
-    nonempty sub-chain, since every cell is labelled by its ascending
-    chain."""
-    chain = tuple(chain)
-    return {L.space.cell_with_label(sub)
-            for k in range(1, len(chain) + 1)
-            for sub in itertools.combinations(chain, k)}
+    """All cells of the closed simplex spanned by a chain."""
+    return close_cells(L.space, [L.cell_of_chain(chain)])
 
 
 def band_cells(n: int, L: Ladder, summand: int, predicate) -> set[Cell]:

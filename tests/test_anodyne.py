@@ -15,7 +15,6 @@ from twarrow.anodyne import (
     basal_sets,
     certificate_from_json,
     certificate_to_json,
-    concatenate,
     dual_certificate,
     dull_start_cells,
     facet_union,
@@ -241,13 +240,6 @@ def test_certificate_in_a_face_of_a_bigger_ambient():
     ok, step, reason = verify_certificate(dec, cert)
     assert ok, (step, reason)
     assert cert.steps[-1].attach == simplex_cell(5, (1, 2, 3, 4))
-
-
-def test_concatenate_replays():
-    dec = q_diamond(1)
-    a = pivot_certificate(dec, [{0}, {3}])
-    whole = concatenate(dec.space, [a], a.start)
-    assert whole == a
 
 
 # -- tampered certificates and documents --------------------------------

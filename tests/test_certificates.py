@@ -151,6 +151,7 @@ PINNED = {
     (xi_certificate, 0): "37186d0301160b47",
     (xi_certificate, 1): "7dfa559b072d8081",
     (xi_certificate, 2): "880ae08a3b27f34b",
+    (xi_certificate, 3): "c07c98767a259c6e",
 }
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, serialization, exports, the suite."""
 
+import hashlib
 import json
 import os
 import re
@@ -213,6 +214,30 @@ def test_export_dot_ladder_hasse_counts():
     assert text.count("[label=") == 12
 
 
+# sha256 prefixes of the DOT exports, so that a change to the node or
+# arc order or to the framing shows
+PINNED_DOT = {
+    ("r-hasse", 0): "fd196e2248a4677c",
+    ("r-hasse", 1): "93e90071396dd9e5",
+    ("r-hasse", 2): "d87cb2062793ab6c",
+    ("r-hasse", 3): "ce7263c459198f9f",
+    ("q", 0): "7c0566c8203f3a93",
+    ("q", 1): "add2c14b7414daa6",
+    ("q", 2): "f4601a463fcf5b4a",
+    ("q", 3): "4c1ca02a8799c1a2",
+    ("tw", 0): "7e5b40e371b69568",
+    ("tw", 1): "84efe414b0b9aa4b",
+    ("tw", 2): "6fb0e239ca653377",
+}
+
+
+def test_dot_exports_are_pinned():
+    for (obj, n), digest in PINNED_DOT.items():
+        text = export_text("dot", obj, n)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, \
+            (obj, n)
+
+
 def test_export_unknown_object():
     with pytest.raises(ValueError, match="unknown zoo object"):
         export_text("json", "mystery", 1)
@@ -273,11 +298,13 @@ def test_oversized_mapping_space_fails_fast(capsys):
 
 def test_oversized_nerve_fails_fast(capsys):
     # the ladder's level is refused before its poset is built, which
-    # alone takes seconds at n = 300
-    for name, n in (("r", 5), ("r", 300), ("qcal", 1000)):
-        _refused_at_once(capsys, ["zoo", "build", name, "--n", str(n)],
-                         f"n = {n}, cap {CAPS['LADDER_CAP'].value} "
-                         f"(LADDER_CAP)")
+    # alone takes seconds at n = 300; the Hasse export reads the poset
+    # alone and is refused by the same check
+    for argv in ("zoo build r", "zoo build qcal", "export dot r-hasse"):
+        for n in (4, 5, 60, 300, 1000):
+            _refused_at_once(capsys, [*argv.split(), "--n", str(n)],
+                             f"n = {n}, cap {CAPS['LADDER_CAP'].value} "
+                             f"(LADDER_CAP)")
 
 
 def test_oversized_interval_poset_fails_fast(capsys):
@@ -423,6 +450,47 @@ def test_check_rejects_map_data_for_a_cell_the_source_lacks(tmp_path,
     m = write(tmp_path / "map.json", doc)
     assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 2
     assert "map data key '7:3' names no source cell" in capsys.readouterr().err
+
+
+# keys that int() reads, or half reads, but that no writer writes
+MALFORMED_KEYS = ["0.0:0", "1_0", "01:0", "+0:0", "0:0:0"]
+
+
+@pytest.mark.parametrize("key", MALFORMED_KEYS)
+def test_readers_refuse_a_key_spelt_otherwise(key):
+    seg = complex_to_json(standard_simplex(1))
+    seg["labels"][key] = 0
+    with pytest.raises(ValueError, match=re.escape(
+            f"complex document: label key {key!r} is not written as "
+            f"<dim>:<idx>")):
+        complex_from_json(seg)
+    doc = map_to_json(map_by_vertices(standard_simplex(1),
+                                      standard_simplex(0), lambda v: 0))
+    doc["data"][key] = [[], 0, 0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"map document: data key {key!r} is not written as "
+            f"<dim>:<idx>")):
+        map_from_json(doc)
+
+
+@pytest.mark.parametrize("key", [" 1 ", "01"])
+def test_complex_reader_refuses_a_dimension_key_spelt_otherwise(key):
+    seg = complex_to_json(standard_simplex(1))
+    seg["simplices"][key] = seg["simplices"].pop("1")
+    with pytest.raises(ValueError, match=re.escape(
+            f"complex document: dimension key {key!r} is not written as "
+            f"<dim>")):
+        complex_from_json(seg)
+
+
+def test_check_refuses_a_map_data_key_spelt_otherwise(tmp_path, capsys):
+    f = map_by_vertices(standard_simplex(1), standard_simplex(0),
+                        lambda v: 0)
+    doc = map_to_json(f)
+    doc["data"]["1_0"] = doc["data"].pop("1:0")
+    m = write(tmp_path / "map.json", doc)
+    assert main(["check", "trivial", "--map", m, "--max-dim", "1"]) == 2
+    assert "data key '1_0' is not written" in capsys.readouterr().err
 
 
 def test_poset_file_with_a_negative_index_is_refused(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from twarrow.core.poset import Poset, all_posets, nerve, poset_key
 from twarrow.partitions import chain_poset, chain_poset_at, ordered_partitions
+from twarrow.zoo import ladder_poset
 
 
 def _reference_key(n, rel):
@@ -126,6 +127,22 @@ def test_chains_and_height_match_the_scan_on_chain_posets():
         _assert_chains_match(C)
         seen += 1
     assert seen > 100
+
+
+def _reference_covers(P):
+    """Covering pairs by position, by a scan of every triple."""
+    els = P.elements
+    return [(i, j) for i, a in enumerate(els) for j, b in enumerate(els)
+            if P.lt(a, b) and not any(P.lt(a, c) and P.lt(c, b)
+                                      for c in els)]
+
+
+def test_covers_match_the_triple_scan():
+    posets = [P for n in range(6) for P in all_posets(n)]
+    posets += [ladder_poset(n) for n in range(4)]
+    for P in posets:
+        assert list(P.covers()) == _reference_covers(P)
+    assert len(posets) == 88 + 4
 
 
 def test_down_sizes_and_index():
