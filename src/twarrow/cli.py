@@ -108,7 +108,6 @@ from .zoo import (
     q_core_cells,
     q_core_extended_cells,
     q_diamond,
-    q_thin_cells,
     q_thin_count,
     square_complex,
     star_complex,
@@ -127,7 +126,10 @@ def _dump(obj) -> str:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -202,14 +204,20 @@ def poset_to_json(P: Poset) -> dict:
 
 @reader("poset")
 def poset_from_json(obj: dict) -> Poset:
+    if not isinstance(obj["elements"], list):
+        raise TypeError(f"elements entry {obj['elements']!r} is not a list")
     check_cap("CHAIN_POSET_CAP", len(obj["elements"]), "poset_from_json")
     elems = [decode_label(e) for e in obj["elements"]]
-    for a, b in obj["leq"]:
+    pairs = []
+    for entry in obj["leq"]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise TypeError(f"leq entry {entry!r} is not a pair")
+        a, b = entry
         if not are_ints((a, b)):
             raise TypeError(f"leq pair {[a, b]} is not all integers")
         if not (0 <= a < len(elems) and 0 <= b < len(elems)):
             raise ValueError(f"leq pair {[a, b]} names no element")
-    pairs = [(elems[a], elems[b]) for a, b in obj["leq"]]
+        pairs.append((elems[a], elems[b]))
     return Poset(elems, pairs)
 
 
@@ -263,6 +271,8 @@ def build_zoo(name: str, n: int, i: int = 1) -> Decorated:
 
 
 def export_text(kind: str, obj: str, n: int, i: int = 1) -> str:
+    if kind not in ("json", "dot"):
+        raise ValueError(f"unknown export kind {kind!r}")
     if n < 0:
         raise ValueError("level n must be nonnegative")
     if obj == "r-hasse":
@@ -274,10 +284,8 @@ def export_text(kind: str, obj: str, n: int, i: int = 1) -> str:
         if obj == "tw" else build_zoo(obj, n, i=i)
     if kind == "json":
         return _dump(decorated_to_json(dec))
-    if kind == "dot":
-        return dot_skeleton(dec.space, marked=dec.marked,
-                            name=f"{obj}{n}") + "\n"
-    raise ValueError(f"unknown export kind {kind!r}")
+    return dot_skeleton(dec.space, marked=dec.marked,
+                        name=f"{obj}{n}") + "\n"
 
 
 # -- the acceptance suite ----------------------------------------------
@@ -553,11 +561,11 @@ def _check_ladder_identities(cfg: SuiteConfig):
 
 def _check_scaling_counts(cfg: SuiteConfig):
     for n in range(5):
-        count = len(q_thin_cells(n))
+        dec = q_complex(n)
+        count = len(dec.thin)
         formula = q_thin_count(n)
         if count != formula:
             return False, f"thin count at n={n} is {count}, not {formula}"
-        dec = q_complex(n)
         labs = {dec.space.labels[c] for c in dec.thin}
         if {tau_subset(n, t) for t in labs} != labs:
             return False, f"scaling is not mirror invariant at n={n}"

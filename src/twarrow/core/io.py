@@ -77,8 +77,9 @@ def key_ints(key: str, parts: int, doc: str, what: str) -> tuple[int, ...]:
 
 def reader(what: str):
     """Decorate the reader of a JSON document so that a document of the
-    wrong shape (not an object, an entry missing or of the wrong type)
-    fails with a ValueError that names the problem."""
+    wrong shape (not an object, an entry missing or of the wrong type,
+    nested too deeply) fails with a ValueError that names the
+    problem."""
     def wrap(fn):
         @functools.wraps(fn)
         def read(obj):
@@ -92,6 +93,9 @@ def reader(what: str):
                                  f"{e.args[0]!r} entry") from None
             except (AttributeError, IndexError, TypeError) as e:
                 raise ValueError(f"malformed {what} document: {e}") from None
+            except RecursionError:
+                raise ValueError(
+                    f"{what} document nested too deeply") from None
         return read
     return wrap
 

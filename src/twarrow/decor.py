@@ -77,6 +77,11 @@ def sharp(X: SimplicialSet) -> Decorated:
     return Decorated(X, thin=frozenset(X.cells(2)), marked=frozenset(X.cells(1)))
 
 
+def scaled(X: SimplicialSet, rule) -> Decorated:
+    """X with a 2-cell thin exactly when ``rule`` holds of its label."""
+    return Decorated(X, thin={c for c in X.cells(2) if rule(X.labels[c])})
+
+
 def preserves_decoration(f: SimplicialMap, src: Decorated, tgt: Decorated) -> bool:
     # same cell tables, not necessarily the same objects
     if f.source.counts != src.space.counts:

@@ -129,8 +129,9 @@ def _head_label(chain, n: int):
 
 
 def _vertex_cell(space: SimplicialSet, y) -> Cell:
+    # an unlabelled vertex is named by its cell id
     hits = [c for c in space.cells(0)
-            if unwrap_label(space.labels.get(c, c)) == y or c == y]
+            if unwrap_label(space.labels.get(c, c)) == y]
     if len(hits) != 1:
         raise ValueError(f"unknown vertex {y!r}")
     return hits[0]

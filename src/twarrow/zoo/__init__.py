@@ -1,5 +1,5 @@
 from .simplexlike import (
-    mirror, tau_subset, q_thin_triangle, q_thin_cells, q_complex,
+    mirror, tau_subset, q_thin_triangle, q_complex,
     q_thin_count, q_diamond_extra, q_diamond, tau_map,
     q_core_ambient, q_core_cells, q_core_extended_cells, q_core_dull_family,
     star_thin_triangle, star_complex, boxplus_thin_triangle, boxplus_complex,

@@ -20,9 +20,9 @@ from ..core.maps import SimplicialMap, map_by_vertices, simplex_by_chain
 from ..core.ops import ProductData, product
 from ..core.poset import Poset, nerve, total_order
 from ..core.simplex import Simplex, nondeg
-from ..decor import Decorated
+from ..decor import Decorated, scaled
 from .cosimplicial import mirror_join_object, realize
-from .simplexlike import mirror, q_complex
+from .simplexlike import mirror, q_thin_triangle
 
 # an element is (rung, eps, bar); eps "ab" sits below "aa" and "bb"
 EPS = ("ab", "aa", "bb")
@@ -105,9 +105,7 @@ class Ladder:
 
 def ladder_complex(n: int) -> Ladder:
     P = ladder_poset(n)
-    N = nerve(P)
-    thin = {c for c in N.cells(2) if ladder_thin_chain(N.labels[c])}
-    return Ladder(Decorated(N, thin=thin), P)
+    return Ladder(scaled(nerve(P), ladder_thin_chain), P)
 
 
 # -- the prism and the comparison maps ---------------------------------
@@ -115,12 +113,14 @@ def ladder_complex(n: int) -> Ladder:
 
 def prism_complex(n: int) -> tuple[Decorated, ProductData]:
     """q_complex(n) x Delta^1, a triangle thin when its projection to
-    the mirrored join is."""
-    qc = q_complex(n)
-    data = product(qc.space, standard_simplex(1))
-    thin = {c for c in data.complex.cells(2)
-            if qc.is_thin(data.pairs[c][0])}
-    return Decorated(data.complex, thin=thin), data
+    the mirrored join is: degenerate, or a thin triangle there."""
+    data = product(standard_simplex(2 * n + 1), standard_simplex(1))
+
+    def rule(chain):
+        tri = [i for i, _ in chain]
+        return len(set(tri)) < 3 or q_thin_triangle(n, tri)
+
+    return scaled(data.complex, rule), data
 
 
 def prism_vertex_to_ladder(n: int, lab):

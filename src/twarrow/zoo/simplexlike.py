@@ -15,13 +15,12 @@ described through their vertex alphabets:
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
-from ..core.complex import simplex_cell, standard_simplex
+from ..core.complex import standard_simplex
 from ..core.maps import SimplicialMap, map_by_vertices
 from ..core.ops import ProductData, opposite, product
-from ..decor import Decorated
+from ..decor import Decorated, scaled
 
 
 # -- the mirrored join Delta^{2n+1} ------------------------------------
@@ -44,21 +43,12 @@ def q_thin_triangle(n: int, tri) -> bool:
     if b <= n < c:
         # plain pair with one mirrored vertex close enough
         return b <= 2 * n + 1 - c
-    if a <= n < b:
-        return a + b >= 2 * n + 1
-    return False
-
-
-def q_thin_cells(n: int) -> set:
-    """The thin 2-cells of Delta^{2n+1}, whose triangles
-    ``standard_simplex`` numbers in lexicographic order."""
-    tris = itertools.combinations(range(2 * n + 2), 3)
-    return {(2, i) for i, tri in enumerate(tris) if q_thin_triangle(n, tri)}
+    # a <= n < b: one plain vertex with a mirrored pair
+    return a + b >= 2 * n + 1
 
 
 def q_complex(n: int) -> Decorated:
-    X = standard_simplex(2 * n + 1)
-    return Decorated(X, thin=q_thin_cells(n))
+    return scaled(standard_simplex(2 * n + 1), lambda t: q_thin_triangle(n, t))
 
 
 def q_thin_count(n: int) -> int:
@@ -80,11 +70,9 @@ def q_diamond_extra(n: int) -> set[tuple[int, int, int]]:
 def q_diamond(n: int) -> Decorated:
     if n < 1:
         raise ValueError("the diamond variant needs n >= 1")
-    X = standard_simplex(2 * n + 1)
-    thin = q_thin_cells(n)
-    for tri in q_diamond_extra(n):
-        thin.add(simplex_cell(2 * n + 1, tri))
-    return Decorated(X, thin=thin)
+    extra = q_diamond_extra(n)
+    return scaled(standard_simplex(2 * n + 1),
+                  lambda t: q_thin_triangle(n, t) or t in extra)
 
 
 def tau_map(n: int) -> SimplicialMap:
@@ -150,9 +138,7 @@ def star_thin_triangle(n: int, tri) -> bool:
 
 
 def star_complex(n: int) -> Decorated:
-    X = standard_simplex(n + 1)
-    thin = {c for c in X.cells(2) if star_thin_triangle(n, X.labels[c])}
-    return Decorated(X, thin=thin)
+    return scaled(standard_simplex(n + 1), lambda t: star_thin_triangle(n, t))
 
 
 def boxplus_thin_triangle(n: int, tri) -> bool:
@@ -168,9 +154,8 @@ def boxplus_thin_triangle(n: int, tri) -> bool:
 
 
 def boxplus_complex(n: int) -> Decorated:
-    X = standard_simplex(2 * n + 2)
-    thin = {c for c in X.cells(2) if boxplus_thin_triangle(n, X.labels[c])}
-    return Decorated(X, thin=thin)
+    return scaled(standard_simplex(2 * n + 2),
+                  lambda t: boxplus_thin_triangle(n, t))
 
 
 def cone_retraction(n: int) -> SimplicialMap:
@@ -198,16 +183,12 @@ def square_complex(n: int, variant: str = "early") -> tuple[Decorated, ProductDa
     if variant not in ("early", "late"):
         raise ValueError(f"unknown prism scaling variant {variant!r}")
     data = product(standard_simplex(n), standard_simplex(1))
-    X = data.complex
-    thin = set()
-    for c in X.cells(2):
-        chain = X.labels[c]
-        eps = tuple(e for _, e in chain)
-        if eps == (1, 1, 1):
-            thin.add(c)
-        elif variant == "early" and eps == (0, 1, 1) and chain[0][0] == chain[1][0]:
-            thin.add(c)
-        elif variant == "late" and eps == (0, 0, 1) and chain[1][0] == chain[2][0]:
-            thin.add(c)
-    return Decorated(X, thin=thin), data
+
+    def rule(chain):
+        (i, e), (j, f), (k, g) = chain
+        return ((e, f, g) == (1, 1, 1)
+                or variant == "early" and (e, f, g) == (0, 1, 1) and i == j
+                or variant == "late" and (e, f, g) == (0, 0, 1) and j == k)
+
+    return scaled(data.complex, rule), data
 

@@ -40,6 +40,7 @@ from twarrow.core.simplex import Simplex
 from twarrow.decor import Decorated, sharp
 from twarrow.fibration import horn_inclusion
 from twarrow.partitions import CHAIN_ELEMENTS_CAP, CHAIN_POSET_CAP
+from twarrow.twisted import tw_projection, twisted_arrow
 
 
 def write(path, obj):
@@ -243,6 +244,12 @@ def test_export_unknown_object():
         export_text("json", "mystery", 1)
 
 
+@pytest.mark.parametrize("obj", ["q", "tw", "r-hasse"])
+def test_export_unknown_kind(obj):
+    with pytest.raises(ValueError, match="unknown export kind 'svg'"):
+        export_text("svg", obj, 1)
+
+
 @pytest.mark.parametrize("kind", ["json", "dot"])
 @pytest.mark.parametrize("obj", ["q", "tw", "r-hasse"])
 def test_export_refuses_a_negative_level(tmp_path, capsys, kind, obj):
@@ -334,11 +341,37 @@ def test_oversized_chain_poset_fails_fast(capsys, monkeypatch):
     ({}, "poset document lacks the 'elements' entry"),
     ([1, 2], "a poset document is a JSON object, not list"),
     ({"elements": 5, "leq": []}, "malformed poset document"),
+    ({"elements": "abc", "leq": []}, "elements entry 'abc' is not a list"),
+    ({"elements": {"a": 0}, "leq": []},
+     "elements entry {'a': 0} is not a list"),
+    ({"elements": [0, 1], "leq": [[0, 1, 1]]},
+     "leq entry [0, 1, 1] is not a pair"),
+    ({"elements": [0, 1], "leq": [0]}, "leq entry 0 is not a pair"),
 ])
 def test_mapspace_refuses_a_malformed_poset(tmp_path, capsys, doc, message):
     assert main(["poset", "mapspace", "--poset",
                  write(tmp_path / "p.json", doc), "--upper", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw", "build", "--complex"],
+    ["check", "cartesian", "--map"],
+    ["poset", "mapspace", "--upper", "1", "--poset"],
+], ids=["tw-build", "check", "mapspace"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(argv + [str(deep)]) == 2
+    assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_reader_refuses_a_deeply_nested_document():
+    label = 0
+    for _ in range(10_000):
+        label = {"s": [label]}
+    with pytest.raises(ValueError, match="poset document nested too deeply"):
+        poset_from_json({"elements": [label], "leq": []})
 
 
 def test_oversized_base_poset_fails_fast(capsys, tmp_path):
@@ -588,6 +621,21 @@ def test_check_cli_pass_and_fail(tmp_path):
                  "--max-dim", "2", "--report", str(rep)]) == 1
     doc = json.loads(rep.read_text())
     assert doc["ok"] is False and doc["counterexample"] is not None
+
+
+def test_check_cli_cartesian(tmp_path, capsys):
+    twc = twisted_arrow(sharp(standard_simplex(1)), 2)
+    doc = map_to_json(tw_projection(twc)[0])
+    flat_map = write(tmp_path / "flat.json", doc)
+    doc["source"] = decorated_to_json(twc.dec)
+    scaled_map = write(tmp_path / "scaled.json", doc)
+    rep = tmp_path / "rep.json"
+    assert main(["check", "cartesian", "--map", scaled_map,
+                 "--max-dim", "2", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["squares"] == 11
+    assert main(["check", "cartesian", "--map", flat_map,
+                 "--max-dim", "2"]) == 1
+    assert "marked supply fails" in capsys.readouterr().out
 
 
 def test_check_cli_trivial(tmp_path):

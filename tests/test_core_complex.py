@@ -8,6 +8,7 @@ from twarrow.core import (Poset, SimplicialMap, SimplicialSet, all_posets,
                           complex_to_json, horn_cells, is_closed, nerve,
                           nondeg, simplex_cell, standard_simplex, subcomplex,
                           total_order)
+from twarrow.core.maps import map_by_vertices
 from twarrow.core.simplex import Simplex
 
 
@@ -158,6 +159,23 @@ def test_map_to_a_degenerate_image_names_the_first_failing_face():
     with pytest.raises(ValueError,
                        match=r"^map does not commute with d_2 at \(2, 0\)$"):
         SimplicialMap(standard_simplex(2), circle, data)
+
+
+def test_is_isomorphism_refusals():
+    I = standard_simplex(1)
+    assert SimplicialMap.identity(I).is_isomorphism()
+    # different cell counts
+    assert not map_by_vertices(I, standard_simplex(0),
+                               lambda v: 0).is_isomorphism()
+    # two vertices sent to one, at equal counts
+    assert not map_by_vertices(I, I, lambda v: 0).is_isomorphism()
+    # the loop of the circle onto its degenerate edge: one vertex each,
+    # one edge each, but the edge's image is degenerate
+    circle = SimplicialSet({0: 1, 1: 1},
+                           {(1, 0): (nondeg(0, 0), nondeg(0, 0))})
+    crush = SimplicialMap(circle, circle, {(0, 0): nondeg(0, 0),
+                                           (1, 0): Simplex((0,), (0, 0))})
+    assert not crush.is_isomorphism()
 
 
 def test_wrong_face_names_the_first_failing_identity():

@@ -124,6 +124,16 @@ def test_tw_fiber_of_interval_is_point():
     assert fib.space.counts == {0: 1}
 
 
+def test_tw_fiber_matches_vertex_labels_not_cell_ids():
+    # each label is the other vertex's cell id
+    P = Poset([(0, 1), (0, 0)], [((0, 1), (0, 0))])
+    twc = twisted_arrow(sharp(nerve(P)), 2)
+    fib, _ = tw_fiber(twc, y=(0, 0))
+    assert fib.space.counts == {0: 2, 1: 1}
+    fib, _ = tw_fiber(twc, y=(0, 1))
+    assert fib.space.counts == {0: 1}
+
+
 def test_tw_fiber_formula():
     C = sharp(standard_simplex(2))
     twc = twisted_arrow(C, 2)

@@ -48,7 +48,6 @@ from twarrow.zoo import (
     q_core_dull_family,
     q_core_extended_cells,
     q_diamond,
-    q_thin_cells,
     q_thin_count,
     q_thin_triangle,
     realize,
@@ -76,12 +75,12 @@ def thin_labels(dec):
 
 def test_q_thin_frozen_small():
     assert thin_labels(q_complex(1)) == {(0, 1, 2), (1, 2, 3)}
-    assert len(q_thin_cells(2)) == 10
+    assert len(q_complex(2).thin) == 10
 
 
 def test_q_thin_count_formula():
     for n in range(5):
-        assert len(q_thin_cells(n)) == q_thin_count(n)
+        assert len(q_complex(n).thin) == q_thin_count(n)
 
 
 def test_q_thin_mirror_invariant():
