@@ -334,7 +334,7 @@ def _check_tw_oracle(cfg: SuiteConfig):
             comp = tw_comparison(P, twc)
             if not comp.is_isomorphism():
                 return False, f"comparison fails on a poset of size {size}"
-            f, pdata, _ = tw_projection(twc)
+            f, pdata = tw_projection(twc)
             first = pdata.pr1.compose(f.compose(comp))
             if first.data != map_by_vertices(
                     comp.source, N, lambda e: e[0]).data:
@@ -351,7 +351,7 @@ def _check_tw_cartesian(cfg: SuiteConfig):
     squares = 0
     for d in cfg.objects:
         twc = twisted_arrow(sharp(standard_simplex(d)), cfg.dim_cap)
-        f, _, _ = tw_projection(twc)
+        f, _ = tw_projection(twc)
         rep = cartesian_fibration(f, twc.dec, cfg.dim_cap)
         if not rep:
             return False, f"tw of the {d}-simplex: {rep.detail}"
@@ -610,10 +610,14 @@ def _check_infrastructure(cfg: SuiteConfig):
                 {B.labels[c] for c in B.all_cells()}:
             return False, "opposite nerve disagrees with the opposite poset"
     small = [P for P in pool if len(P.elements) <= 3]
-    for _ in range(4):
+
+    def pair():
         P = rng.choice(small)
-        Q = rng.choice([R for R in small
-                        if len(R.elements) + len(P.elements) <= 5])
+        return P, rng.choice([R for R in small
+                              if len(R.elements) + len(P.elements) <= 5])
+
+    for _ in range(4):
+        P, Q = pair()
         data = product(nerve(P), nerve(Q))
         N = nerve(P.product(Q))
         if data.complex.counts != N.counts or \
@@ -626,9 +630,7 @@ def _check_infrastructure(cfg: SuiteConfig):
         if find_isomorphism(J.complex, standard_simplex(p + q + 1)) is None:
             return False, f"join of simplices {p},{q} is not a simplex"
     for _ in range(3):
-        P = rng.choice(small)
-        Q = rng.choice([R for R in small
-                        if len(R.elements) + len(P.elements) <= 5])
+        P, Q = pair()
         els = [("a", e) for e in P.elements] + [("b", e) for e in Q.elements]
         pairs = [(("a", x), ("a", y)) for x in P.elements
                  for y in P.elements if x != y and P.leq(x, y)]
@@ -719,6 +721,14 @@ def run_suite(config: SuiteConfig):
 
 
 def _parse_label(text: str):
+    """A vertex label: a text starting with '{' is one as the writers
+    encode it ('{"t": [0, 0]}' is the tuple (0, 0)), any other an int
+    when it reads as one and the text itself otherwise."""
+    if text.startswith("{"):
+        try:
+            return decode_label(json.loads(text))
+        except (ValueError, TypeError, RecursionError):
+            raise ValueError(f"{text!r} is not an encoded label") from None
     return int(text) if text.lstrip("-").isdigit() else text
 
 

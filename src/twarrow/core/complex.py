@@ -238,7 +238,12 @@ def standard_simplex(n: int) -> SimplicialSet:
 
 def simplex_cell(n: int, vertices: tuple[int, ...]) -> Cell:
     """Cell of standard_simplex(n) with the given vertex tuple."""
-    vertices = tuple(sorted(vertices))
+    given = tuple(vertices)
+    vertices = tuple(sorted(given))
+    if len(set(vertices)) != len(vertices) or \
+            not all(0 <= v <= n for v in vertices):
+        raise ValueError(f"{given} names no cell of Delta^{n}: its vertices "
+                         f"must be distinct and lie in 0..{n}")
     subs = list(itertools.combinations(range(n + 1), len(vertices)))
     return (len(vertices) - 1, subs.index(vertices))
 

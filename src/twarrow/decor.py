@@ -99,33 +99,14 @@ def preserves_decoration(f: SimplicialMap, src: Decorated, tgt: Decorated) -> bo
     return True
 
 
-def pull_decoration(incl: SimplicialMap, tgt: Decorated) -> Decorated:
-    """Decoration induced on the source of a map (usually an inclusion)."""
-    thin = {c for c in incl.source.cells(2) if tgt.is_thin(incl(nondeg(*c)))}
-    marked = {c for c in incl.source.cells(1) if tgt.is_marked(incl(nondeg(*c)))}
-    return Decorated(incl.source, thin, marked)
-
-
 def decorated_subcomplex(dec: Decorated, cells):
     """The face-closed ``cells`` of ``dec.space`` as a decorated
     subcomplex, with its inclusion."""
     sub, data = subcomplex(dec.space, cells)
-    incl = SimplicialMap(sub, dec.space, data, check=False)
-    return pull_decoration(incl, dec), incl
-
-
-def push_decoration(maps: list[SimplicialMap],
-                    decs: list[Decorated]) -> Decorated:
-    """Decoration generated on the maps' common target by ``decs``, the
-    decorations of their sources."""
-    thin, marked = set(), set()
-    for f, dec in zip(maps, decs):
-        for cells, out in ((dec.thin, thin), (dec.marked, marked)):
-            for c in cells:
-                img = f(nondeg(*c))
-                if not img.is_degenerate:
-                    out.add(img.base)
-    return Decorated(maps[0].target, thin, marked)
+    thin = {c for c, x in data.items() if x.base in dec.thin}
+    marked = {c for c, x in data.items() if x.base in dec.marked}
+    return (Decorated(sub, thin, marked),
+            SimplicialMap(sub, dec.space, data, check=False))
 
 
 def collapse_to_point(
@@ -191,7 +172,9 @@ def collapse_to_point(
                 labels[cell] = X.labels[c]
     quot = SimplicialMap(X, SimplicialSet(counts, faces, labels), image,
                          check=False)
-    return (quot, push_decoration([quot], [dec]),
+    thin = {image[c].base for c in dec.thin if not image[c].word}
+    marked = {image[c].base for c in dec.marked if not image[c].word}
+    return (quot, Decorated(quot.target, thin, marked),
             [(0, k) for k in range(len(parts))])
 
 

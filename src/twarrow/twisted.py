@@ -27,8 +27,7 @@ from .core.ops import op_simplex, opposite, pair_simplex, product
 from .core.poset import Poset, nerve
 from .core.simplex import (Simplex, collapses_to_word, constant_simplex, nondeg,
                            nondeg_row, simplex_on, strip_collapse)
-from .decor import (Decorated, collapse_to_point, decorated_subcomplex,
-                    op_decoration)
+from .decor import Decorated, collapse_to_point, decorated_subcomplex
 from .zoo import (VertexCosimplicial, boxplus_complex, cone_inclusion,
                   cone_object, cone_retraction, mirror_cone_object,
                   mirror_join_object, q_complex)
@@ -154,25 +153,17 @@ def twisted_arrow(src: Decorated, max_dim: int) -> WitnessComplex:
 
 def tw_projection(twc: WitnessComplex):
     """The map to (input) x (input reversed), by restriction to the two
-    halves of each witness.  Returns (map, product data, decorated target).
+    halves of each witness.  Returns (map, product data).
     """
-    C = twc.source
-    Cop = op_decoration(C, opposite(C.space))
-    pdata = product(C.space, Cop.space, top_dim=twc.max_dim)
-    thin = frozenset(
-        c for c in pdata.complex.cells(2)
-        if C.is_thin(pdata.pr1(nondeg(*c))) and Cop.is_thin(pdata.pr2(nondeg(*c))))
-    marked = frozenset(
-        c for c in pdata.complex.cells(1)
-        if C.is_marked(pdata.pr1(nondeg(*c))) and Cop.is_marked(pdata.pr2(nondeg(*c))))
+    C = twc.source.space
+    pdata = product(C, opposite(C), top_dim=twc.max_dim)
     data = {}
     for c, x in twc.witness.items():
         n = c[0]
-        sx = C.space.restrict(x, range(n + 1))
-        sy = op_simplex(C.space.restrict(x, range(n + 1, 2 * n + 2)))
+        sx = C.restrict(x, range(n + 1))
+        sy = op_simplex(C.restrict(x, range(n + 1, 2 * n + 2)))
         data[c] = pair_simplex(pdata.index, sx, sy)
-    f = SimplicialMap(twc.space, pdata.complex, data)
-    return f, pdata, Decorated(pdata.complex, thin=thin, marked=marked)
+    return SimplicialMap(twc.space, pdata.complex, data), pdata
 
 
 def tw_functor(f: SimplicialMap, src_tw: WitnessComplex,

@@ -544,6 +544,33 @@ def test_tw_fiber_cli(tmp_path):
     assert doc["simplices"]["0"]["count"] == 1
 
 
+def _tuple_nerve_file(tmp_path):
+    # the elements are tuples, so no plain --x/--y text names them
+    P = Poset([(0, 1), (0, 0)], [((0, 1), (0, 0))])
+    return write(tmp_path / "F.json", decorated_to_json(Decorated(nerve(P))))
+
+
+def test_tw_fiber_names_an_encoded_label(tmp_path, capsys):
+    src = _tuple_nerve_file(tmp_path)
+    assert main(["tw", "fiber", "--complex", src,
+                 "--y", '{"t": [0, 0]}']) == 0
+    assert capsys.readouterr().out == (
+        "fiber over x=None, y=(0, 0): cells {0: 2, 1: 1}, "
+        "0 thin triangles, 1 marked edges\n")
+    assert main(["tw", "fiber", "--complex", src,
+                 "--y", '{"t": [9, 9]}']) == 2
+    assert "unknown vertex (9, 9)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"x": 1}', '{"t": 5}', "{",
+                                  '{"s": [' * 100_000],
+                         ids=["no-tag", "not-a-list", "truncated", "deep"])
+def test_tw_fiber_refuses_a_malformed_encoded_label(tmp_path, capsys, text):
+    src = _tuple_nerve_file(tmp_path)
+    assert main(["tw", "fiber", "--complex", src, "--y", text]) == 2
+    assert f"{text!r} is not an encoded label" in capsys.readouterr().err
+
+
 def test_poset_mapspace_cli(tmp_path):
     assert main(["poset", "mapspace", "--chain", "2", "--upper", "2",
                  "--mode", "right", "--j", "0"]) == 0
@@ -588,6 +615,14 @@ def test_certify_pivot_cli(tmp_path):
                  "--thin", "023,123", "--pivot", "1"]) == 1
     assert main(["certify", "pivot", "--dull", "0;3", "--n", "3",
                  "--pivot", "auto"]) == 1      # flat scaling, no run works
+
+
+@pytest.mark.parametrize("thin, verts", [("029", "(0, 2, 9)"),
+                                         ("022", "(0, 2, 2)")])
+def test_certify_pivot_refuses_an_impossible_triangle(capsys, thin, verts):
+    assert main(["certify", "pivot", "--dull", "0;3", "--n", "3",
+                 "--thin", thin]) == 2
+    assert f"{verts} names no cell of Delta^3" in capsys.readouterr().err
 
 
 def test_certify_paper_cli(tmp_path):

@@ -37,7 +37,7 @@ from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import (Simplex, constant_simplex, degenerate,
                                   degenerate_word, face_stays_degenerate,
                                   nondeg, strip_collapse)
-from twarrow.decor import collapse_to_point, flat, push_decoration
+from twarrow.decor import Decorated, collapse_to_point, flat
 from twarrow.partitions import (collapse_both, collapse_upper,
                                 mapping_space, ordered_partitions)
 from twarrow.zoo import mirror_join_object, realize
@@ -321,9 +321,20 @@ def _reference_collapse(dec, parts):
             for c in X.all_cells()
             if {unwrap_label(X.labels.get(v))
                 for v in X.vertices(nondeg(*c))} <= part]
-    pts = [point() for _ in parts]
-    res = glue(pts + [X], rels)
-    return res, push_decoration(res.maps, [flat(P) for P in pts] + [dec])
+    res = glue([point() for _ in parts] + [X], rels)
+    return res, reference_push(res.maps[-1], dec)
+
+
+def reference_push(f, dec):
+    """The decoration ``dec`` of f's source pushed to its target: every
+    nondegenerate image of a thin triangle or a marked edge."""
+    thin, marked = set(), set()
+    for cells, out in ((dec.thin, thin), (dec.marked, marked)):
+        for c in cells:
+            img = f(nondeg(*c))
+            if not img.is_degenerate:
+                out.add(img.base)
+    return Decorated(f.target, thin, marked)
 
 
 def assert_same_collapse(got, ref):

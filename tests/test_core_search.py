@@ -379,6 +379,10 @@ def test_isomorphism_search_leaves_the_plan_cache_alone():
     assert maps._plan.cache_info() == before
 
 
+def test_isomorphism_needs_equal_counts():
+    assert find_isomorphism(standard_simplex(1), standard_simplex(2)) is None
+
+
 def test_non_isomorphic_pair_with_equal_counts():
     by_counts = {}
     for P in all_posets(4):

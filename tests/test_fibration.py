@@ -43,6 +43,28 @@ def test_solve_lift_horn_in_simplex():
     assert lift.data[(2, 0)] == nondeg(2, 0)
 
 
+def test_is_lift_refusals():
+    D = standard_simplex(2)
+    incl = horn_inclusion(2, 1)
+    B = incl.target
+    prob = LiftingProblem(incl, SimplicialMap.identity(D), incl,
+                          SimplicialMap.identity(D))
+    lift = SimplicialMap(B, D, SimplicialMap.identity(D).data)
+    const = map_by_vertices(B, D, lambda v: 0)
+    assert prob.is_lift(lift)
+    assert not prob.is_lift(const)
+    # over a point, only the horn's image refuses the constant map
+    over_pt = LiftingProblem(incl, to_point(D), incl, to_point(B))
+    assert over_pt.is_lift(lift)
+    assert not over_pt.is_lift(const)
+    # from a copy of B, not B itself
+    assert not prob.is_lift(SimplicialMap.identity(standard_simplex(2)))
+    # on the horn, but not over the bottom map (not a simplicial map)
+    off = dict(lift.data)
+    off[(2, 0)] = degenerate_word(nondeg(1, 0), (0,))
+    assert not prob.is_lift(SimplicialMap(B, D, off, check=False))
+
+
 def test_solve_lift_reversed_edge_has_none():
     D = standard_simplex(1)
     incl = boundary_inclusion(1)
@@ -143,7 +165,7 @@ def test_cartesian_fibration_of_tw_of_the_5_simplex_at_depth_3():
     # the paper-scale pin: building tw(Delta^5) at depth 3 took 0.3 s of
     # CPU and the check 0.6 s on a 2-vCPU machine with Python 3.11
     twc = twisted_arrow(sharp(standard_simplex(5)), 3)
-    f, _, _ = tw_projection(twc)
+    f, _ = tw_projection(twc)
     rep = cartesian_fibration(f, twc.dec, 3)
     assert rep.ok and rep.squares == 4302
 
@@ -253,7 +275,7 @@ def test_marked_supply_flat_interval_fails():
 
 def test_marked_supply_plans_its_squares_once():
     twc = twisted_arrow(sharp(standard_simplex(2)), 3)
-    f, _, _ = tw_projection(twc)
+    f, _ = tw_projection(twc)
     maps._plan.cache_clear()
     rep = marked_supply(f, twc.dec)
     assert rep.ok and rep.squares == 9
@@ -288,7 +310,7 @@ def _marked_edge_failure():
 
 def _supply_failure():
     twc = twisted_arrow(sharp(standard_simplex(1)), 2)
-    f, _, _ = tw_projection(twc)
+    f, _ = tw_projection(twc)
     dec = twc.dec
     return f, Decorated(dec.space, dec.thin, dec.marked - {max(dec.marked)})
 
@@ -331,7 +353,7 @@ def test_cartesian_fibration_failure_reports(case, squares, detail,
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_twisted_arrow_projection_is_cartesian(n):
     twc = twisted_arrow(sharp(standard_simplex(n)), 3)
-    f, _, _ = tw_projection(twc)
+    f, _ = tw_projection(twc)
     rep = cartesian_fibration(f, twc.dec, 3)
     assert rep.ok, rep.detail
     # and each marked edge individually
@@ -404,7 +426,7 @@ def _supply_cases():
     """(p, decoration, whether supply holds)."""
     for n in (0, 1, 2):
         twc = twisted_arrow(sharp(standard_simplex(n)), 3)
-        f, _, _ = tw_projection(twc)
+        f, _ = tw_projection(twc)
         yield f, twc.dec, True
         if n:
             # without its last marked edge the supply fails part way
@@ -480,7 +502,7 @@ def test_bottom_maps_match_restriction_on_every_square(monkeypatch):
     trivial_fibration(to_point(D1), 1)
     for n in (0, 1, 2):
         twc = twisted_arrow(sharp(standard_simplex(n)), 3)
-        f, _, _ = tw_projection(twc)
+        f, _ = tw_projection(twc)
         cartesian_fibration(f, twc.dec, 3)
         for c in sorted(twc.dec.marked):
             cartesian_edge(f, c, 3)

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from test_core_calculus import new_cell_members
+from test_core_calculus import new_cell_members, reference_push
 
 from twarrow import partitions
 from twarrow.core.complex import standard_simplex
@@ -12,7 +12,7 @@ from twarrow.core.maps import (find_isomorphism, map_by_vertices,
 from twarrow.core.ops import pushout, quotient_by_key
 from twarrow.core.poset import Poset, all_posets, nerve, total_order
 from twarrow.core.simplex import nondeg
-from twarrow.decor import collapse_to_point, flat, push_decoration, sharp
+from twarrow.decor import collapse_to_point, flat, sharp
 from twarrow.partitions import (
     SIDES,
     Collapse,
@@ -446,7 +446,7 @@ def test_cell_keyed_quotients_match_the_flag_keyed_ones():
 def _reference_collapse_to_point(inc, dec):
     to_pt = to_point(inc.source)
     res = pushout(to_pt, inc)
-    return res, push_decoration(res.maps, [flat(to_pt.target), dec])
+    return res, reference_push(res.maps[1], dec)
 
 
 def _reference_collapse_upper(part, dec=None):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from test_core_calculus import reference_push
 
 from twarrow import DIM_CAP, twisted
 from twarrow.core.complex import (SimplicialSet, point, simplex_cell,
@@ -12,7 +13,7 @@ from twarrow.core.ops import glue, opposite
 from twarrow.core.poset import Poset, all_posets, nerve
 from twarrow.core.simplex import Simplex, constant_simplex, nondeg
 from twarrow.decor import (Decorated, collapse_to_point, flat,
-                           preserves_decoration, push_decoration, sharp)
+                           preserves_decoration, sharp)
 from twarrow.twisted import (
     WitnessComplex, cone_fiber_complex, cone_fiber_span, retraction_pair,
     slice_outer, slice_projection, tw_comparison, tw_fiber, tw_functor,
@@ -60,7 +61,7 @@ def test_tw_oracle_small_posets():
         comp = tw_comparison(P, twc)
         comp.validate()
         assert comp.is_isomorphism()
-        f, pdata, _ = tw_projection(twc)
+        f, pdata = tw_projection(twc)
         lhs1 = pdata.pr1.compose(f.compose(comp))
         rhs1 = map_by_vertices(comp.source, nerve(P), lambda e: e[0])
         assert lhs1.data == rhs1.data
@@ -82,13 +83,11 @@ def test_tw_oracle_six_point_posets():
 def test_tw_projection_vertex_targets():
     C = sharp(standard_simplex(2))
     twc = twisted_arrow(C, 2)
-    f, pdata, tgt = tw_projection(twc)
+    f, pdata = tw_projection(twc)
     for c in twc.space.cells(0):
         verts = C.space.vertices(twc.witness[c])
         assert pdata.pr1(f(nondeg(*c))).base == verts[0]
         assert pdata.pr2(f(nondeg(*c))).base == verts[-1]
-    # product decoration of a sharp input is sharp
-    assert len(tgt.thin) == tgt.space.n_cells(2)
 
 
 def test_tw_marking():
@@ -112,8 +111,8 @@ def test_tw_functoriality():
     twC, twD = twisted_arrow(C, 2), twisted_arrow(D, 2)
     F = tw_functor(f, twC, twD)
     F.validate()
-    fC, pC, _ = tw_projection(twC)
-    fD, pD, _ = tw_projection(twD)
+    fC, pC = tw_projection(twC)
+    fD, pD = tw_projection(twD)
     assert pD.pr1.compose(fD.compose(F)).data == \
         f.compose(pC.pr1.compose(fC)).data
 
@@ -132,6 +131,15 @@ def test_tw_fiber_matches_vertex_labels_not_cell_ids():
     assert fib.space.counts == {0: 2, 1: 1}
     fib, _ = tw_fiber(twc, y=(0, 1))
     assert fib.space.counts == {0: 1}
+
+
+def test_tw_fiber_keeps_the_marked_edges_it_includes():
+    P = Poset([(0, 1), (0, 0)], [((0, 1), (0, 0))])
+    twc = twisted_arrow(flat(nerve(P)), 3)
+    fib, incl = tw_fiber(twc, y=(0, 0))
+    assert fib.space.counts == {0: 2, 1: 1}
+    assert fib.marked == {(1, 0)}
+    assert twc.dec.is_marked(incl(nondeg(1, 0)))
 
 
 def test_tw_fiber_formula():
@@ -181,7 +189,7 @@ def test_cone_fiber_span_legs_commute():
     span.pi.validate()
     # both legs forget to the same restriction of the witness
     lhs = slice_projection(span.outer).compose(span.rho)
-    f, pdata, _ = tw_projection(span.tw)
+    f, pdata = tw_projection(span.tw)
     rhs = pdata.pr1.compose(f.compose(span.fiber_incl.compose(span.pi)))
     assert lhs.data == rhs.data
 
@@ -208,6 +216,13 @@ def test_retraction_pair_scaled_and_split():
             assert ir(nondeg(*v)) == nondeg(*v)
 
 
+def test_preserves_decoration_refuses_a_dropped_marking():
+    D = standard_simplex(1)
+    f = SimplicialMap.identity(D)
+    assert preserves_decoration(f, sharp(D), sharp(D))
+    assert not preserves_decoration(f, sharp(D), flat(D))
+
+
 def _reference_collapse_tail(dec, first):
     """``_collapse_tail`` as it was: the face on the positions from
     ``first`` up included from a standard simplex, and the image of that
@@ -217,8 +232,7 @@ def _reference_collapse_tail(dec, first):
     rels = [((0, constant_simplex((0, 0), c[0])), (1, inc.data[c]))
             for c in A.all_cells()]
     res = glue([point(), dec.space], rels)
-    qdec = push_decoration(res.maps, [flat(res.maps[0].source), dec])
-    return qdec, res.maps[1]
+    return reference_push(res.maps[1], dec), res.maps[1]
 
 
 def test_tail_collapses_match_the_inclusion_ones(monkeypatch):
