@@ -732,6 +732,24 @@ def _parse_label(text: str):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
+def _parse_labels(text: str) -> set:
+    """Labels split on ',', or a JSON list of labels as the writers
+    encode them when the text starts with '['."""
+    if not text.startswith("["):
+        return {_parse_label(t) for t in text.split(",")}
+    try:
+        return {decode_label(e) for e in json.loads(text)}
+    except (ValueError, TypeError, RecursionError):
+        raise ValueError(f"{text!r} is not a list of encoded labels") from None
+
+
+def _int(flag: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not an integer") from None
+
+
 def _parse_family(text: str):
     """Members separated by ';', vertices by ',' or single digits."""
     fam = []
@@ -739,10 +757,8 @@ def _parse_family(text: str):
         token = token.strip()
         if not token:
             continue
-        if "," in token:
-            fam.append({int(v) for v in token.split(",")})
-        else:
-            fam.append({int(ch) for ch in token})
+        fam.append({_int("--dull", v)
+                    for v in (token.split(",") if "," in token else token)})
     if not fam:
         raise ValueError("empty family")
     return fam
@@ -754,8 +770,8 @@ def _parse_triangles(text: str):
         token = token.strip()
         if not token:
             continue
-        verts = [int(v) for v in token.split("-")] if "-" in token \
-            else [int(ch) for ch in token]
+        verts = [_int("--thin", v)
+                 for v in (token.split("-") if "-" in token else token)]
         if len(verts) != 3:
             raise ValueError(f"{token!r} does not name a triangle")
         tris.append(tuple(sorted(verts)))
@@ -816,7 +832,7 @@ def cmd_poset(args) -> int:
             P = poset_from_json(_load_json(args.poset))
         else:
             raise ValueError("mapspace needs --chain or --poset")
-        upper = {_parse_label(t) for t in args.upper.split(",")}
+        upper = _parse_labels(args.upper)
         lower = [e for e in P.elements if e not in upper]
         part = make_partition(P, lower, upper)
         mode = args.space_mode.replace("-", "_")
@@ -847,7 +863,7 @@ def cmd_certify(args) -> int:
             {simplex_cell(args.n, t) for t in _parse_triangles(args.thin)}
         dec = Decorated(standard_simplex(args.n), thin=thin)
         family = _parse_family(args.dull)
-        pivot = None if args.pivot == "auto" else int(args.pivot)
+        pivot = None if args.pivot == "auto" else _int("--pivot", args.pivot)
         try:
             cert = pivot_certificate(dec, family, pivot=pivot)
         except CertificateError as e:
@@ -894,7 +910,7 @@ def cmd_suite(args) -> int:
     checks = None
     if args.checks is not None:
         checks = tuple(t for t in args.checks.split(",") if t)
-    objects = tuple(int(t) for t in args.objects.split(",") if t)
+    objects = tuple(_int("--objects", t) for t in args.objects.split(",") if t)
     config = SuiteConfig(checks=checks, dim_cap=args.dim_cap,
                          objects=objects, seed=args.seed,
                          report=args.report, inject=args.inject)
@@ -952,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", type=int, metavar="N",
                    help="use the total order 0..N")
     p.add_argument("--upper", required=True,
-                   help="comma-separated upper part")
+                   help="upper part: comma-separated, or a JSON label list")
     p.add_argument("--j", help="base vertex for mode right")
     p.add_argument("--mode", dest="space_mode", default="two-sided",
                    choices=("right", "two-sided"))

@@ -219,21 +219,30 @@ def point(label=None) -> SimplicialSet:
 SIMPLEX_CAP = CAPS["SIMPLEX_CAP"].value
 
 
-def standard_simplex(n: int) -> SimplicialSet:
-    """Delta^n with each cell labelled by its vertex tuple."""
-    check_cap("SIMPLEX_CAP", n, "standard_simplex")
+def chain_complex(levels, label) -> SimplicialSet:
+    """The complex whose d-cells are the tuples of ``levels[d]`` in order,
+    d_k dropping entry k (a tuple of ``levels[d - 1]``), each labelled by
+    the tuple of ``label[v]`` over its entries v: nerves and Delta^n."""
     counts, faces, labels = {}, {}, {}
     index: dict[tuple, Simplex] = {}
-    for d in range(n + 1):
-        subs = list(itertools.combinations(range(n + 1), d + 1))
-        counts[d] = len(subs)
-        for h, s in zip(nondeg_row(d, len(subs)), subs):
-            index[s] = h
-            labels[h.base] = s
+    for d, level in enumerate(levels):
+        counts[d] = len(level)
+        for h, c in zip(nondeg_row(d, len(level)), level):
+            index[c] = h
+            labels[h.base] = tuple(map(label.__getitem__, c))
             if d >= 1:
                 faces[h.base] = tuple(
-                    index[s[:k] + s[k + 1:]] for k in range(d + 1))
+                    index[c[:k] + c[k + 1:]] for k in range(d + 1))
     return SimplicialSet(counts, faces, labels)
+
+
+def standard_simplex(n: int) -> SimplicialSet:
+    """Delta^n, the nerve of 0..n, with each cell labelled by its vertex
+    tuple."""
+    check_cap("SIMPLEX_CAP", n, "standard_simplex")
+    return chain_complex(
+        [list(itertools.combinations(range(n + 1), d + 1))
+         for d in range(n + 1)], range(n + 1))
 
 
 def simplex_cell(n: int, vertices: tuple[int, ...]) -> Cell:

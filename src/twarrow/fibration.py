@@ -159,10 +159,14 @@ def _simplex_inclusion(n: int, cells) -> SimplicialMap:
     return SimplicialMap(A, D, data, check=False)
 
 
+@lru_cache(maxsize=None)
 def horn_inclusion(n: int, i: int) -> SimplicialMap:
+    """The horn of Delta^n missing face i, included; built once and
+    shared, like ``boundary_inclusion``, so callers must not change it."""
     return _simplex_inclusion(n, horn_cells(n, i))
 
 
+@lru_cache(maxsize=None)
 def boundary_inclusion(n: int) -> SimplicialMap:
     return _simplex_inclusion(n, boundary_cells(n))
 
@@ -331,10 +335,10 @@ def marked_supply(p: SimplicialMap, dec: Decorated) -> FibrationReport:
 
     Each pair of a nondegenerate base edge and a vertex over its target
     is one square against the inclusion of the final vertex of Delta^1,
-    with the edge required marked, and ``solve_lift`` decides it.  The
-    squares share one inclusion, so the search plans it once.
-    Degenerate base edges always have the degenerate marked lift, so
-    only nondegenerate ones are enumerated.
+    the (1,1) horn, with the edge required marked, and ``solve_lift``
+    decides it.  The squares share one inclusion, so the search plans it
+    once.  Degenerate base edges always have the degenerate marked lift,
+    so only nondegenerate ones are enumerated.
     """
     return _verdict("marked-supply", 1, ("", _supply_groups(p, dec)))
 
@@ -351,16 +355,9 @@ def _supply_groups(p: SimplicialMap, dec: Decorated):
                        [_supply_problem(p, dec, ey, x)])
 
 
-@lru_cache(maxsize=None)
-def _supply_inclusion() -> SimplicialMap:
-    """The final vertex of Delta^1, built once so that every supply
-    square shares its search plan."""
-    return _simplex_inclusion(1, {simplex_cell(1, (1,))})
-
-
 def _supply_problem(p: SimplicialMap, dec: Decorated,
                     ey: Simplex, x: Simplex) -> LiftingProblem:
-    incl = _supply_inclusion()
+    incl = horn_inclusion(1, 1)
     top = SimplicialMap(incl.source, p.source, {(0, 0): x}, check=False)
     return LiftingProblem(incl, p, top, _bottom_map(incl.target, p.target, ey),
                           marked_cells=frozenset({(1, 0)}), dec=dec)

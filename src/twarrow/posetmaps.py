@@ -291,6 +291,11 @@ MAP_NAMES = ("zeta", *_CHAIN_MAPS)
 
 def _spec(name: str, n: int, params: dict):
     """Source poset, target poset, map, and the decorations to check."""
+    if name not in MAP_NAMES:
+        raise ValueError(f"unknown map name {name!r}")
+    for key in params:
+        if key != "i" or name not in ("zeta", "h_rho"):
+            raise ValueError(f"{name} takes no parameter {key!r}")
     if name == "zeta":
         i = _switch_index(name, n, params, n)
         src = interval_poset(i, n + 1)
@@ -299,8 +304,6 @@ def _spec(name: str, n: int, params: dict):
         tgt_marked = lambda S, T: segment_marked(
             lambda t: q_thin_triangle(n, t), S, T)
         return src, tgt, star_to_q(n), None, src_marked, tgt_marked
-    if name not in MAP_NAMES:
-        raise ValueError(f"unknown map name {name!r}")
     *kinds, make = _CHAIN_MAPS[name]
     sp, tp = (cone_partition(k, n) for k in kinds)
     if name == "h_rho":
@@ -322,9 +325,10 @@ def _spec(name: str, n: int, params: dict):
 def named_map(name: str, n: int, **params) -> MapReport:
     """Instantiate a named map and run all its checks.
 
-    Raises if the instantiation is not a monotone map landing in the
-    stated target; that only happens on formula bugs, never on valid
-    parameters.
+    ``zeta`` and ``h_rho`` take the switch index ``i``; a parameter the
+    map does not take is refused.  Raises if the instantiation is not a
+    monotone map landing in the stated target; that only happens on
+    formula bugs, never on valid parameters.
     """
     src, tgt, fn, descent_data, src_marked, tgt_marked = _spec(name, n, params)
     targets = set(tgt.elements)

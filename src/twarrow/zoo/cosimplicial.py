@@ -28,7 +28,7 @@ class VertexCosimplicial:
     names the thin vertex triples of the scaled value at [d]
     (``q_complex(d)``, ``star_complex(d)``, ``boxplus_complex(d)``).
 
-    Derived from the vertex rule and kept on the object:
+    Derived from the vertex rule and cached, like the values ``at(d)``:
     ``face_positions(d)[k]``, the vertices of the value at [d] that the
     k-th coface misses, ``collapse_positions(d)[j]``, the positions
     p with p and p+1 sent to one vertex by the j-th codegeneracy, and
@@ -42,13 +42,10 @@ class VertexCosimplicial:
         self.width = width
         self.vertex = vertex
         self.thin = thin
-        self._cache: dict[int, SimplicialSet] = {}
-        self._positions: dict[tuple, tuple] = {}
 
+    @functools.cache
     def at(self, d: int) -> SimplicialSet:
-        if d not in self._cache:
-            self._cache[d] = standard_simplex(self.width(d))
-        return self._cache[d]
+        return standard_simplex(self.width(d))
 
     def arrow(self, g: tuple[int, ...], d_src: int, d_tgt: int) -> SimplicialMap:
         assert len(g) == d_src + 1
@@ -61,22 +58,20 @@ class VertexCosimplicial:
         return [self.vertex(g, d_src, d_tgt, v)
                 for v in range(self.width(d_src) + 1)]
 
+    @functools.cache
     def face_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
-        if ("face", d) not in self._positions:
-            self._positions["face", d] = tuple(
-                tuple(sorted(set(range(self.width(d) + 1)) -
-                             set(self._images(coface(k, d), d - 1, d))))
-                for k in range(d + 1))
-        return self._positions["face", d]
+        return tuple(
+            tuple(sorted(set(range(self.width(d) + 1)) -
+                         set(self._images(coface(k, d), d - 1, d))))
+            for k in range(d + 1))
 
+    @functools.cache
     def collapse_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
-        if ("collapse", d) not in self._positions:
-            imgs = (self._images(flag_map((j,), d - 1), d, d - 1)
-                    for j in range(d))
-            self._positions["collapse", d] = tuple(
-                tuple(p for p in range(self.width(d)) if img[p] == img[p + 1])
-                for img in imgs)
-        return self._positions["collapse", d]
+        imgs = (self._images(flag_map((j,), d - 1), d, d - 1)
+                for j in range(d))
+        return tuple(
+            tuple(p for p in range(self.width(d)) if img[p] == img[p + 1])
+            for img in imgs)
 
     def collapse_index(self, d: int, word) -> int | None:
         """The first j for which a width(d)-simplex on the degeneracy
@@ -87,16 +82,14 @@ class VertexCosimplicial:
         return next((j for j, ps in enumerate(self.collapse_positions(d))
                      if S.issuperset(ps)), None)
 
+    @functools.cache
     def free_words(self, d: int, p: int) -> tuple[tuple[int, ...], ...]:
         """The words of the width(d)-simplices over a p-dimensional base
         that have no ``collapse_index``: a simplex on one of them
         factors through no codegeneracy, whatever its base.  In the
         order of ``all_words``."""
-        if ("free", d, p) not in self._positions:
-            self._positions["free", d, p] = tuple(
-                w for w in all_words(self.width(d), p)
-                if self.collapse_index(d, w) is None)
-        return self._positions["free", d, p]
+        return tuple(w for w in all_words(self.width(d), p)
+                     if self.collapse_index(d, w) is None)
 
     def thin_triples(self, d: int) -> list[tuple[int, int, int]]:
         """The thin vertex triples at [d], in lexicographic order."""

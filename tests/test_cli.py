@@ -39,7 +39,8 @@ from twarrow.core.poset import NERVE_CAP, Poset, nerve, total_order
 from twarrow.core.simplex import Simplex
 from twarrow.decor import Decorated, sharp
 from twarrow.fibration import horn_inclusion
-from twarrow.partitions import CHAIN_ELEMENTS_CAP, CHAIN_POSET_CAP
+from twarrow.partitions import (CHAIN_ELEMENTS_CAP, CHAIN_POSET_CAP,
+                                make_partition, mapping_space)
 from twarrow.twisted import tw_projection, twisted_arrow
 
 
@@ -571,6 +572,30 @@ def test_tw_fiber_refuses_a_malformed_encoded_label(tmp_path, capsys, text):
     assert f"{text!r} is not an encoded label" in capsys.readouterr().err
 
 
+def _tuple_poset_file(tmp_path):
+    P = Poset([(0, 1), (0, 0)], [((0, 1), (0, 0))])
+    return P, write(tmp_path / "P.json", poset_to_json(P))
+
+
+def test_poset_mapspace_names_encoded_upper_labels(tmp_path, capsys):
+    P, src = _tuple_poset_file(tmp_path)
+    X = mapping_space(make_partition(P, [(0, 1)], [(0, 0)]), "two_sided")
+    assert main(["poset", "mapspace", "--poset", src,
+                 "--upper", '[{"t": [0, 0]}]']) == 0
+    counts = {d: X.counts[d] for d in sorted(X.counts)}
+    assert capsys.readouterr().out == \
+        f"mapping space (two-sided): cells {counts}\n"
+
+
+@pytest.mark.parametrize("text", ['[{"t": [0', '[{"x": 1}]'])
+def test_poset_mapspace_refuses_a_malformed_label_list(tmp_path, capsys,
+                                                       text):
+    _, src = _tuple_poset_file(tmp_path)
+    assert main(["poset", "mapspace", "--poset", src, "--upper", text]) == 2
+    assert f"{text!r} is not a list of encoded labels" in \
+        capsys.readouterr().err
+
+
 def test_poset_mapspace_cli(tmp_path):
     assert main(["poset", "mapspace", "--chain", "2", "--upper", "2",
                  "--mode", "right", "--j", "0"]) == 0
@@ -593,8 +618,10 @@ def test_poset_mapspace_from_file(tmp_path):
 def test_poset_descends_cli():
     assert main(["poset", "descends", "--map", "zeta", "--n", "1",
                  "--i", "0"]) == 0
-    # h_rho without its switch index is a usage error
+    # h_rho without its switch index is a usage error, and so is G with one
     assert main(["poset", "descends", "--map", "h_rho", "--n", "1"]) == 2
+    assert main(["poset", "descends", "--map", "G", "--n", "1",
+                 "--i", "3"]) == 2
 
 
 # -- certificates ------------------------------------------------------
@@ -623,6 +650,20 @@ def test_certify_pivot_refuses_an_impossible_triangle(capsys, thin, verts):
     assert main(["certify", "pivot", "--dull", "0;3", "--n", "3",
                  "--thin", thin]) == 2
     assert f"{verts} names no cell of Delta^3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "pivot", "--dull", "a;3", "--n", "3"],
+     "--dull: 'a' is not an integer"),
+    (["certify", "pivot", "--dull", "0;3", "--n", "3", "--thin", "0a3"],
+     "--thin: 'a' is not an integer"),
+    (["certify", "pivot", "--dull", "0;3", "--n", "3", "--pivot", "x"],
+     "--pivot: 'x' is not an integer"),
+    (["suite", "--objects", "1,x"], "--objects: 'x' is not an integer"),
+], ids=["dull", "thin", "pivot", "objects"])
+def test_a_bad_integer_names_its_flag(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_certify_paper_cli(tmp_path):

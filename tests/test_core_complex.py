@@ -5,9 +5,9 @@ import pytest
 
 from twarrow.core import (Poset, SimplicialMap, SimplicialSet, all_posets,
                           boundary_cells, close_cells, complex_from_json,
-                          complex_to_json, horn_cells, is_closed, nerve,
-                          nondeg, simplex_cell, standard_simplex, subcomplex,
-                          total_order)
+                          complex_to_json, complexes_equal, horn_cells,
+                          is_closed, nerve, nondeg, simplex_cell,
+                          standard_simplex, subcomplex, total_order)
 from twarrow.core.maps import map_by_vertices
 from twarrow.core.simplex import Simplex
 
@@ -46,13 +46,25 @@ def test_restrict_picks_out_subsets():
 
 
 def test_nerve_of_total_order_matches_standard_simplex():
-    for n in range(4):
+    for n in range(8):
         N = nerve(total_order(n))
-        X = standard_simplex(n)
-        assert N.counts == X.counts
-        assert {N.labels[c] for c in N.all_cells()} == \
-            {X.labels[c] for c in X.all_cells()}
+        assert complexes_equal(N, standard_simplex(n))
         N.validate()
+
+
+def test_nerves_are_kept_by_value_and_top_dim():
+    P, Q = (Poset("abc", [("a", "b"), ("b", "c")]) for _ in range(2))
+    assert P is not Q and P == Q
+    N = nerve(P)
+    assert nerve(Q) is N and nerve(P, top_dim=None) is N
+    others = [Poset(range(k)) for k in range(1, 33)]
+    for R in others[:31]:
+        nerve(R)
+    assert nerve(P) is N
+    # 32 other requests since P's fill the 32 places: P's nerve is dropped
+    for R in others:
+        nerve(R)
+    assert nerve(P) is not N and complexes_equal(nerve(P), N)
 
 
 def test_nerve_of_a_fence():

@@ -19,7 +19,7 @@ from twarrow.core.complex import (SimplicialSet, horn_cells,
 from twarrow.core.io import complex_from_json, complex_to_json
 from twarrow.core.maps import SimplicialMap
 from twarrow.core.ops import glue, join, product, quotient_by_key
-from twarrow.core.poset import Poset, _build_nerve, nerve, total_order
+from twarrow.core.poset import Poset, _nerve, nerve, total_order
 from twarrow.core.simplex import HANDLE_CAP, Simplex, nondeg
 from twarrow.decor import Decorated, collapse_to_point
 from twarrow.zoo.ladder import ladder_poset
@@ -127,11 +127,11 @@ def test_interning_under_threads_gives_one_right_handle_per_key():
 
 
 def test_the_largest_suite_nerve_stays_small_in_memory():
-    # built fresh, past the nerve memo; 13.7 MB before handles were shared
+    # built fresh, past the nerve cache; 13.7 MB before handles were shared
     P = ladder_poset(3)
     tracemalloc.start()
     try:
-        N = _build_nerve(P, None)
+        N = _nerve.__wrapped__(P, None)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

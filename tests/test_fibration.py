@@ -350,6 +350,22 @@ def test_cartesian_fibration_failure_reports(case, squares, detail,
         "counterexample": counterexample}
 
 
+def test_inclusions_are_built_once_and_checks_repeat():
+    """The horn and boundary inclusions are shared, the supply squares
+    are against the (1,1) horn, and a second check in one process
+    reports what the first did."""
+    assert horn_inclusion(2, 1) is horn_inclusion(2, 1)
+    assert boundary_inclusion(2) is boundary_inclusion(2)
+    p, dec = _supply_failure()
+    first, again = (cartesian_fibration(p, dec, 2) for _ in range(2))
+    assert first.counterexample.incl is horn_inclusion(1, 1)
+    assert fibration_report_json(again) == fibration_report_json(first)
+    q = to_point(standard_simplex(1))
+    first, again = (trivial_fibration(q, 1) for _ in range(2))
+    assert not first.ok
+    assert fibration_report_json(again) == fibration_report_json(first)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_twisted_arrow_projection_is_cartesian(n):
     twc = twisted_arrow(sharp(standard_simplex(n)), 3)

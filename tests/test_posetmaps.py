@@ -104,6 +104,15 @@ def test_h_rho_needs_valid_index():
         named_map("sigma", 1)
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("G", {"i": 3}, "i"), ("zeta", {"i": 0, "j": 5}, "j"),
+    ("B", {"j": 0}, "j")])
+def test_named_map_refuses_a_parameter_its_map_does_not_take(name, params,
+                                                              key):
+    with pytest.raises(ValueError, match=f"{name} takes no parameter '{key}'"):
+        named_map(name, 1, **params)
+
+
 def test_all_named_maps_descend_and_preserve_markings():
     n = 1
     for name in MAP_NAMES:
