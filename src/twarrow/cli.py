@@ -16,18 +16,21 @@ Subcommands
 All emitted JSON uses sorted keys and the canonical cell ids assigned at
 construction time (dimension-major, in enumeration order), so repeated
 exports of the same object are byte-identical.  Suite report files carry
-verdicts only; wall-clock timings go to stdout, keeping same-seed runs
+verdicts only; per-check CPU times go to stdout, keeping same-seed runs
 byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import random
 import sys
+import threading
 from dataclasses import dataclass
-from time import perf_counter
+from time import process_time
 
 from . import DIM_CAP, check_cap, check_max_dim
 from .anodyne import (
@@ -321,6 +324,10 @@ class SuiteConfig:
             bad = [c for c in self.checks if c not in CHECKS]
             if bad:
                 raise ValueError(f"unknown checks: {', '.join(bad)}")
+            twice = sorted({c for c in self.checks
+                            if self.checks.count(c) > 1})
+            if twice:
+                raise ValueError(f"repeated checks: {', '.join(twice)}")
 
 
 def _check_tw_oracle(cfg: SuiteConfig):
@@ -681,19 +688,110 @@ CHECKS = {
 }
 
 
+# generation 0's collection threshold while the suite runs: the checks
+# build long-lived face tables whose Simplex entries the collector would
+# otherwise re-walk many times, though they hold no cycles
+SUITE_GC_THRESHOLD = 10_000
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _timed(name: str, config: SuiteConfig) -> tuple[bool, str, float]:
+    t0 = process_time()
+    ok, detail = CHECKS[name](config)
+    return ok, detail, process_time() - t0
+
+
+def _claimed(claims: int, enabled, config: SuiteConfig):
+    """Claim checks off the pipe ``claims``, one byte (an index into
+    ``enabled``) at a time, and yield (name, (ok, detail, CPU seconds))
+    for each until the pipe is empty."""
+    while byte := os.read(claims, 1):
+        name = enabled[byte[0]]
+        yield name, _timed(name, config)
+
+
+def _helper(claims: int, replies: int, enabled, config: SuiteConfig):
+    """The forked helper's whole life: it runs the checks it claims and
+    writes each result to ``replies`` as one JSON line.  It never
+    returns; a check that raises ends it with that check unreported,
+    and the parent runs that check again."""
+    try:
+        for name, result in _claimed(claims, enabled, config):
+            os.write(replies, (json.dumps([name, *result]) + "\n").encode())
+    finally:
+        # no exit handlers, no flush of buffers copied from the parent
+        os._exit(0)
+
+
 def run_suite(config: SuiteConfig):
     """Run the selected checks; returns (exit status, report document).
 
-    Checks run one after another, so each printed time is that check's
-    own.  The report lists them sorted by name.  Timings are printed,
-    never recorded, keeping same-seed reports byte-identical.
+    The checks' indices go into a pipe, and each check is run by the
+    process that claims it.  When two CPUs are free, ``os.fork`` exists,
+    no other thread runs and at least two checks are enabled, a helper
+    forked after import claims checks beside this process; otherwise
+    this process claims them all.  A check the helper claimed but did
+    not report is run again here, so its exception leaves this function.
+    Each printed time is that check's own CPU time.  The report lists
+    the checks sorted by name.  Timings are printed, never recorded,
+    keeping same-seed reports byte-identical.
+
+    While it runs, the objects alive on entry are frozen out of the
+    cyclic collector, unless the caller froze some already, and
+    generation 0's threshold is raised; both are restored on the way
+    out.
     """
     enabled = tuple(CHECKS) if config.checks is None else config.checks
     results: dict[str, tuple[bool, str, float]] = {}
-    for name in enabled:
-        t0 = perf_counter()
-        ok, detail = CHECKS[name](config)
-        results[name] = (ok, detail, perf_counter() - t0)
+    threshold = gc.get_threshold()
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(enabled))))
+    os.close(fill)
+    pid, replies = 0, None
+    # a caller's own freeze is left as it is, since unfreeze undoes it
+    thaw = not gc.get_freeze_count()
+    if thaw:
+        gc.freeze()
+    gc.set_threshold(SUITE_GC_THRESHOLD, *threshold[1:])
+    try:
+        if len(enabled) >= 2 and hasattr(os, "fork") and _cpus() >= 2 \
+                and threading.active_count() == 1:
+            r, w = os.pipe()
+            replies = os.fdopen(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper(claims, w, enabled, config)
+            finally:
+                os.close(w)
+        results.update(_claimed(claims, enabled, config))
+        if replies is not None:
+            # a helper killed mid-line leaves a last line without "\n"
+            for name, *result in map(json.loads,
+                                     replies.read().split("\n")[:-1]):
+                results[name] = tuple(result)
+        for name in enabled:
+            if name not in results:
+                results[name] = _timed(name, config)
+    except BaseException:
+        if pid:
+            import signal  # only here: it takes a millisecond to import
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        if replies is not None:
+            replies.close()
+        if pid:
+            os.waitpid(pid, 0)
+        gc.set_threshold(*threshold)
+        if thaw:
+            gc.unfreeze()
     checks = [{"check": name, "ok": results[name][0],
                "detail": results[name][1]} for name in sorted(results)]
     ok = all(c["ok"] for c in checks)

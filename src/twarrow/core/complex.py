@@ -19,6 +19,7 @@ from .simplex import (
     check_word,
     compose_words,
     face_rule,
+    face_rules,
     flag_map,
     nondeg,
     nondeg_row,
@@ -90,12 +91,23 @@ class SimplicialSet:
 
     def face_row(self, x: Simplex) -> tuple[Simplex, ...]:
         """d_0 x, ..., d_m x, in canonical form, for x of dimension
-        m >= 1: the face table's own row when x is nondegenerate."""
+        m >= 1: the face table's own row when x is nondegenerate, else
+        ``face``'s steps in one pass over the cached ``face_rules`` of
+        x's word, with no range check."""
         word, base = x
         if not word:
             return self.faces[base]
-        return tuple([self.face(x, i)
-                      for i in range(base[0] + len(word) + 1)])
+        row = self.faces.get(base)
+        out = []
+        for w, k in face_rules(word, base[0] + len(word)):
+            if k is None:
+                out.append(simplex_on(w, base))
+            elif w:
+                f = row[k]
+                out.append(Simplex(compose_words(w, f.word, f.dim), f.base))
+            else:
+                out.append(row[k])
+        return tuple(out)
 
     def face_many(self, x: Simplex, indices) -> Simplex:
         """Apply d_i for i in ``indices``, highest first so positions

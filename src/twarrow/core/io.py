@@ -26,29 +26,42 @@ from .simplex import Simplex, nondeg
 _ATOMS = frozenset({int, str, bool, type(None)})
 
 
-def encode_label(lab):
+def encode_label(lab, memo: dict | None = None):
+    """The JSON form of a label.  ``memo``, one per document, maps each
+    tuple of atoms already encoded to its encoding, which is then
+    shared; it is keyed with the atoms' types too, because 1 == True."""
     if lab is None or isinstance(lab, (int, str, bool)):
         return lab
     if isinstance(lab, tuple):
-        if _ATOMS.issuperset(map(type, lab)):
-            return {"t": list(lab)}
-        return {"t": [encode_label(x) for x in lab]}
+        memo = {} if memo is None else memo
+        kinds = tuple(map(type, lab))
+        if not _ATOMS.issuperset(kinds):
+            return {"t": [encode_label(x, memo) for x in lab]}
+        out = memo.get((lab, kinds))
+        if out is None:
+            out = memo[lab, kinds] = {"t": list(lab)}
+        return out
     if isinstance(lab, frozenset):
-        return {"s": sorted((encode_label(x) for x in lab),
+        return {"s": sorted((encode_label(x, memo) for x in lab),
                             key=lambda v: json.dumps(v, sort_keys=True))}
     raise TypeError(f"label of type {type(lab).__name__} is not serializable")
 
 
-def decode_label(obj):
+def decode_label(obj, memo: dict | None = None):
+    """Inverse of encode_label; ``memo`` shares each tuple of atoms read
+    in one document, keyed the same way."""
     if obj is None or isinstance(obj, (int, str, bool)):
         return obj
     if isinstance(obj, dict) and "t" in obj:
         items = obj["t"]
-        if _ATOMS.issuperset(map(type, items)):
-            return tuple(items)
-        return tuple(map(decode_label, items))
+        memo = {} if memo is None else memo
+        kinds = tuple(map(type, items))
+        if not _ATOMS.issuperset(kinds):
+            return tuple([decode_label(x, memo) for x in items])
+        lab = tuple(items)
+        return memo.setdefault((lab, kinds), lab)
     if isinstance(obj, dict) and "s" in obj:
-        return frozenset(decode_label(x) for x in obj["s"])
+        return frozenset(decode_label(x, memo) for x in obj["s"])
     raise TypeError(f"cannot decode label {obj!r}")
 
 
@@ -109,7 +122,9 @@ def complex_to_json(X: SimplicialSet) -> dict:
                 [[list(w), bd, bi] for w, (bd, bi) in X.faces[(d, i)]]
                 for i in range(X.counts[d])]
         simplices[str(d)] = entry
-    labels = {f"{d}:{i}": encode_label(lab) for (d, i), lab in sorted(X.labels.items())}
+    memo: dict = {}
+    labels = {f"{d}:{i}": encode_label(lab, memo)
+              for (d, i), lab in sorted(X.labels.items())}
     out = {"top_dim": X.top_dim, "simplices": simplices}
     if labels:
         out["labels"] = labels
@@ -132,7 +147,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
             raise TypeError(f"count {n!r} of dimension {d} is not an "
                             f"integer")
         check_cap("HANDLE_CAP", n, f"complex document, dimension {d}")
-    faces, labels = {}, {}
+    faces, labels, memo = {}, {}, {}
     for d, entry in simplices.items():
         if d >= 1:
             for i, row in enumerate(entry["faces"]):
@@ -148,7 +163,7 @@ def complex_from_json(obj: dict) -> SimplicialSet:
         d, i = key_ints(key, 2, "complex", "label key")
         if not 0 <= i < counts.get(d, 0):
             raise ValueError(f"label key {key!r} names no cell")
-        labels[(d, i)] = decode_label(lab)
+        labels[(d, i)] = decode_label(lab, memo)
     X = SimplicialSet(counts, faces, labels)
     X.validate()
     # only a complex that passed every check takes shared handles, so a

@@ -185,6 +185,13 @@ def face_rule(word: tuple[int, ...], i: int):
     return collapses_to_word({t if t < i else t - 1 for t in s}), k
 
 
+@functools.lru_cache(maxsize=None)
+def face_rules(word: tuple[int, ...], dim: int):
+    """``face_rule(word, i)`` for i = 0, ..., dim: how each face map acts
+    on the dim-simplex s_word (b)."""
+    return tuple([face_rule(word, i) for i in range(dim + 1)])
+
+
 def face_stays_degenerate(x: Simplex, i: int) -> Simplex | None:
     """d_i(x) when it does not touch the base, else None.
 

@@ -5,6 +5,8 @@ its worked examples directly, so a regression names the failing fact
 rather than just the failing check.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -122,17 +124,26 @@ SEED_3_CHECKS = [
 ]
 
 
-def test_suite_is_deterministic():
-    import json
+def test_suite_is_deterministic(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
 
-    def capture():
+    def capture(cpus):
+        # the suite forks a helper only when it sees two free CPUs
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         _, report = run_suite(SuiteConfig(seed=3))
         return json.dumps(report, indent=2, sort_keys=True)
 
-    first = capture()
+    first = capture(2)
+    assert forks == [1]
     report = json.loads(first)
     assert report["ok"] is True
     # every report line, pinned
     assert [(c["check"], c["ok"], c["detail"])
             for c in report["checks"]] == SEED_3_CHECKS
-    assert capture() == first
+    # the same report with every check run in this process
+    assert capture(1) == first
+    assert forks == [1]

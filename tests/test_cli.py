@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, serialization, exports, the suite."""
 
+import gc
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import twarrow
 from twarrow import CAPS, DIM_CAP
 from twarrow.anodyne import certificate_from_json, verify_certificate
 from twarrow.cli import (
+    CHECKS,
     ZOO_NAMES,
     SuiteConfig,
     build_zoo,
@@ -788,16 +790,83 @@ def test_suite_same_seed_reports_identical(tmp_path):
 def test_suite_config_validation():
     with pytest.raises(ValueError, match="unknown checks"):
         SuiteConfig(checks=("no-such-check",))
+    with pytest.raises(ValueError, match="repeated checks: scaling-counts$"):
+        SuiteConfig(checks=("scaling-counts", "scaling-counts", "cone-fiber"))
+    assert main(["suite", "--checks",
+                 "scaling-counts,scaling-counts,cone-fiber"]) == 2
     with pytest.raises(ValueError, match="dim_cap"):
         SuiteConfig(dim_cap=99)
     with pytest.raises(ValueError, match="injection"):
         SuiteConfig(inject="sabotage")
 
 
-def test_run_suite_returns_report():
+def free_cpus(monkeypatch, n):
+    """Make the suite see n free CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+def test_run_suite_returns_report(monkeypatch):
+    free_cpus(monkeypatch, 2)
+    # one check is never worth a helper
+    monkeypatch.setattr(os, "fork", no_fork)
     status, report = run_suite(SuiteConfig(checks=("scaling-counts",)))
     assert status == 0
     assert report["checks"][0]["check"] == "scaling-counts"
+
+
+def gc_state():
+    return gc.get_threshold(), gc.get_freeze_count()
+
+
+def test_a_check_that_raises_leaves_the_suite_and_no_child(monkeypatch):
+    def boom(cfg):
+        raise ValueError("check exploded")
+
+    monkeypatch.setitem(CHECKS, "scaling-counts", boom)
+    free_cpus(monkeypatch, 2)
+    before = gc_state()
+    with pytest.raises(ValueError, match="check exploded"):
+        run_suite(SuiteConfig(checks=tuple(QUICK.split(","))))
+    assert main(["suite", "--checks", QUICK]) == 2
+    assert gc_state() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_check_the_helper_did_not_report_runs_again_here(monkeypatch,
+                                                           tmp_path):
+    parent, raised = os.getpid(), tmp_path / "raised"
+    ran_here = []
+
+    def check(cfg):
+        if os.getpid() != parent:
+            raised.touch()
+            raise RuntimeError("the helper fails")
+        # hold this process until the helper has claimed the other check
+        deadline = time.monotonic() + 30
+        while not raised.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        ran_here.append(cfg.seed)
+        return True, "ran"
+
+    names = ("cone-fiber", "scaling-counts")
+    for name in names:
+        monkeypatch.setitem(CHECKS, name, check)
+    free_cpus(monkeypatch, 2)
+    before = gc_state()
+    status, report = run_suite(SuiteConfig(checks=names))
+    assert status == 0 and raised.exists()
+    assert [c["check"] for c in report["checks"]] == list(names)
+    assert len(ran_here) == 2
+    assert gc_state() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
