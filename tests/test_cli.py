@@ -18,6 +18,7 @@ from twarrow import CAPS, DIM_CAP
 from twarrow.anodyne import certificate_from_json, verify_certificate
 from twarrow.cli import (
     CHECKS,
+    HEAVIEST_FIRST,
     ZOO_NAMES,
     SuiteConfig,
     build_zoo,
@@ -818,6 +819,10 @@ def test_run_suite_returns_report(monkeypatch):
     status, report = run_suite(SuiteConfig(checks=("scaling-counts",)))
     assert status == 0
     assert report["checks"][0]["check"] == "scaling-counts"
+
+
+def test_every_check_has_a_claim_rank():
+    assert sorted(HEAVIEST_FIRST) == sorted(CHECKS)
 
 
 def gc_state():
